@@ -30,7 +30,7 @@ from .analytic import (
 from .gate import (
     BASIS_LABELS,
     TruthTable,
-    basis_angles,
+    basis_settings,
     cnot_condition_margin,
     dn_corr_gate,
     dn_corr_mz,
@@ -38,7 +38,10 @@ from .gate import (
 )
 from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, SetupMZ
 from .montecarlo import (
+    MIN_EMITTERS,
+    MIN_REALIZATIONS,
     EnsembleEstimate,
+    check_ensemble_size,
     compare_patterns,
     estimate_dn_corr,
     estimate_truth_table,
@@ -60,7 +63,7 @@ _RUN_KEYS = frozenset({"mode"})
 _MC_KEYS = frozenset({"n_realizations", "n_emitters", "seed"})
 _SECTIONS = ("setup", "angles", "scan", "run", "mc")
 
-_DEFAULTS_HELP = """\
+_DEFAULTS_HELP = f"""\
 configuration file sections and defaults:
   [setup]  kind=basic|gate|mz (default basic)
            basic/gate keys: a, lambda, z, f, x1, x2 (required),
@@ -73,8 +76,8 @@ configuration file sections and defaults:
            detector_x (default 0.0; the parked detector for x_C/x_T scans
            and the truth-table detector position)
   [run]    mode=exact|asymptotic|mc|all (default exact)
-  [mc]     n_realizations (default 10000), n_emitters (default 256),
-           seed (default 0)
+  [mc]     n_realizations (default 10000, at least {MIN_REALIZATIONS}),
+           n_emitters (default 256, at least {MIN_EMITTERS}), seed (default 0)
 
 environment:
   GHOSTFRINGE_THREADS caps ensemble worker threads (results are identical
@@ -283,6 +286,10 @@ def parse_config(path) -> ExperimentConfig:
         if "n_realizations" in raw_mc else 10000
     n_emitters = _as_int("mc", "n_emitters", raw_mc["n_emitters"]) if "n_emitters" in raw_mc else 256
     seed = _as_int("mc", "seed", raw_mc["seed"]) if "seed" in raw_mc else 0
+    try:
+        check_ensemble_size(n_realizations, n_emitters)
+    except ValueError as exc:
+        raise ConfigError(f"[mc] {exc}") from exc
 
     return ExperimentConfig(
         kind=kind, setup=setup, angles=angles,
@@ -420,19 +427,11 @@ def emit(report: RunReport, out_dir) -> list[Path]:
 
 
 def _closed_form_table(setup, x_c: float, x_t: float, mode: str) -> TruthTable:
-    values = np.zeros((4, 4))
+    dn_corr = dn_corr_mz if isinstance(setup, SetupMZ) else dn_corr_gate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        for row, input_label in enumerate(BASIS_LABELS):
-            phi_c, phi_t = basis_angles(input_label)
-            for col, output_label in enumerate(BASIS_LABELS):
-                theta_c, theta_t = basis_angles(output_label)
-                angles = GateAngles(phi_c=phi_c, phi_t=phi_t, theta_c=theta_c, theta_t=theta_t)
-                if isinstance(setup, SetupMZ):
-                    values[row, col] = dn_corr_mz(setup, angles, x_c, x_t, mode)
-                else:
-                    values[row, col] = dn_corr_gate(setup, angles, x_c, x_t, mode)
-    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=values)
+        values = [dn_corr(setup, angles, x_c, x_t, mode) for angles in basis_settings()]
+    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=np.reshape(values, (4, 4)))
 
 
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:

@@ -35,7 +35,14 @@ from .core import (
     sinc,
 )
 from .geometry import ConditionWarning, GateAngles, SetupGate, SetupMZ
-from .analytic import four_pair_sum, g1_pair, phase_phi_basic, warn_pair_conditions
+from .analytic import (
+    CROSS_RATIO_MIN,
+    WITHIN_RATIO_MAX,
+    four_pair_sum,
+    g1_pair,
+    phase_phi_basic,
+    warn_pair_conditions,
+)
 
 _PAIRS = ((1, 1), (2, 2), (1, 2), (2, 1))
 
@@ -180,11 +187,11 @@ def _warn_mz_conditions(setup: SetupMZ, x_c: float, x_t: float) -> None:
     margins = mz_condition_margins(setup, x_c, x_t)
     problems = []
     for key in ("tilt_c", "tilt_t"):
-        if margins[key] < 10.0:
-            problems.append(f"{key} = {margins[key]:.3g} is below 10")
+        if margins[key] < CROSS_RATIO_MIN:
+            problems.append(f"{key} = {margins[key]:.3g} is below {CROSS_RATIO_MIN:g}")
     for key in ("tilt_diff", "detector_sep"):
-        if margins[key] > 0.1:
-            problems.append(f"{key} = {margins[key]:.3g} is above 0.1")
+        if margins[key] > WITHIN_RATIO_MAX:
+            problems.append(f"{key} = {margins[key]:.3g} is above {WITHIN_RATIO_MAX:g}")
     for problem in problems:
         warnings.warn(
             f"two-path form of the tilted-mirror gate may be inaccurate: {problem}",
@@ -419,6 +426,19 @@ def basis_angles(label: str) -> tuple[float, float]:
     return BASIS_ANGLES[label[0]], BASIS_ANGLES[label[1]]
 
 
+def basis_settings() -> list[GateAngles]:
+    """The 16 (input, output) basis settings, row-major over BASIS_LABELS.
+
+    The input label sets the preparation angles (phi_c, phi_t), the output
+    label the analyzer angles (theta_c, theta_t).
+    """
+    return [
+        GateAngles(*basis_angles(input_label), *basis_angles(output_label))
+        for input_label in BASIS_LABELS
+        for output_label in BASIS_LABELS
+    ]
+
+
 def ideal_cnot_table() -> np.ndarray:
     """CNOT as a permutation: the control flips the target when V."""
     table = np.zeros((4, 4))
@@ -431,14 +451,10 @@ def ideal_cnot_table() -> np.ndarray:
 
 def cnot_truth_table(phi: float = 0.0) -> TruthTable:
     """Truth table of the two-path gate probability at interference phase phi."""
-    values = np.zeros((4, 4))
-    for row, input_label in enumerate(BASIS_LABELS):
-        phi_c, phi_t = basis_angles(input_label)
-        for col, output_label in enumerate(BASIS_LABELS):
-            theta_c, theta_t = basis_angles(output_label)
-            angles = GateAngles(phi_c=phi_c, phi_t=phi_t, theta_c=theta_c, theta_t=theta_t)
-            values[row, col] = float(p_controlled_u(angles, phi))
-    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=values)
+    values = [p_controlled_u(angles, phi) for angles in basis_settings()]
+    return TruthTable(
+        inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=np.reshape(values, (4, 4))
+    )
 
 
 __all__ = [
@@ -447,6 +463,7 @@ __all__ = [
     "BlockMatrix",
     "TruthTable",
     "basis_angles",
+    "basis_settings",
     "cnot_condition_margin",
     "cnot_truth_table",
     "compose_network",

@@ -27,14 +27,29 @@ from .analytic import CorrelationPattern
 from .gate import (
     BASIS_LABELS,
     TruthTable,
-    basis_angles,
+    _arm_coefficients,
+    basis_settings,
     envelope_power,
-    mz_effective_positions,
 )
 
 _UINT64_MASK = (1 << 64) - 1
 
 THREADS_ENV_VAR = "GHOSTFRINGE_THREADS"
+
+# Smallest ensemble the estimators accept: fewer realizations leave the
+# batch-means stderr meaningless, fewer emitters under-resolve the slit.
+MIN_REALIZATIONS = 100
+MIN_EMITTERS = 64
+
+
+def check_ensemble_size(n_realizations: int, n_emitters: int) -> None:
+    """Raise ValueError unless the ensemble meets MIN_REALIZATIONS and MIN_EMITTERS."""
+    if n_realizations < MIN_REALIZATIONS:
+        raise ValueError(
+            f"n_realizations must be at least {MIN_REALIZATIONS}, got {n_realizations}"
+        )
+    if n_emitters < MIN_EMITTERS:
+        raise ValueError(f"n_emitters must be at least {MIN_EMITTERS}, got {n_emitters}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,7 @@ class SourceModel:
     """Discretized chaotic source: n_emitters points across the slit [-a, a].
 
     Emitters sit at cell midpoints, strictly inside the slit. The ensemble
-    estimators require at least 64 emitters; single fields may be built on
+    estimators require at least MIN_EMITTERS; single fields may be built on
     fewer for diagnostics.
     """
 
@@ -124,17 +139,8 @@ def _mask_path_terms(setup: SetupBasic, arm: str, angles: GateAngles | None):
     else:
         raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
     if isinstance(setup, SetupGate):
-        angles = _require_angles(setup, angles)
-        if arm == "C":
-            coeffs = (
-                math.cos(angles.theta_c) * math.cos(angles.phi_c),
-                math.sin(angles.theta_c) * math.sin(angles.phi_c),
-            )
-        else:
-            coeffs = (
-                math.cos(angles.theta_t - angles.phi_t),
-                math.sin(angles.theta_t + angles.phi_t),
-            )
+        u1, u2, t1, t2 = _arm_coefficients(_require_angles(setup, angles))
+        coeffs = (u1, u2) if arm == "C" else (t1, t2)
     else:
         if angles is not None:
             raise ValueError("SetupBasic is unpolarized: angles must be None")
@@ -148,22 +154,14 @@ def _mz_path_terms(setup: SetupMZ, arm: str, angles: GateAngles | None):
     The polarizing splitter routes V through the second path with a sign
     flip, hence the negative second coefficient.
     """
-    angles = _require_angles(setup, angles)
+    u1, u2, t1, t2 = _arm_coefficients(_require_angles(setup, angles))
     if arm == "C":
-        shift = 2.0 * setup.zbar * setup.delta_c
-        coeffs = (
-            math.cos(angles.theta_c) * math.cos(angles.phi_c),
-            -math.sin(angles.theta_c) * math.sin(angles.phi_c),
-        )
+        shift, first, second = 2.0 * setup.zbar * setup.delta_c, u1, u2
     elif arm == "T":
-        shift = 2.0 * setup.zbar * setup.delta_t
-        coeffs = (
-            math.cos(angles.theta_t - angles.phi_t),
-            -math.sin(angles.theta_t + angles.phi_t),
-        )
+        shift, first, second = 2.0 * setup.zbar * setup.delta_t, t1, t2
     else:
         raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
-    return [(coeffs[0], shift), (coeffs[1], 0.0)]
+    return [(first, shift), (-second, 0.0)]
 
 
 def _select_paths(terms, open_paths):
@@ -329,29 +327,15 @@ def _batch_moments(source, seed, start, count, kernel_c, kernel_t):
     return i_c.sum(axis=0), i_t.sum(axis=0), (i_c * i_t).sum(axis=0)
 
 
-def _raw_covariance(
-    setup,
-    grid: np.ndarray,
-    n_realizations: int,
-    seed: int,
-    angles: GateAngles | None,
-    n_emitters: int,
-    mean_photon_number: float,
-    n_batches: int,
-    bs_convention: str,
-):
-    """Covariance estimate plus batch-means stderr over a joint-position grid."""
-    if n_realizations < 100:
-        raise ValueError(f"n_realizations must be at least 100, got {n_realizations}")
-    if n_emitters < 64:
-        raise ValueError(f"ensemble estimation needs n_emitters >= 64, got {n_emitters}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != 2:
-        raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
-    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel_c = _kernel_matrix(source, setup, "C", grid[:, 0], angles, bs_convention)
-    kernel_t = _kernel_matrix(source, setup, "T", grid[:, 1], angles, bs_convention)
+def _ensemble_moments(source, seed, n_realizations, n_batches, kernel_c, kernel_t):
+    """One pass over the ensemble, shared by every estimator.
 
+    kernel_c and kernel_t are (n_emitters, M) propagation matrices: column m
+    gives the C and T arm fields of the m-th detector pair or angle setting.
+    Each realization is drawn once whatever M is. Returns, per column, the
+    mean C intensity, the intensity covariance and its batch-means stderr.
+    """
+    check_ensemble_size(n_realizations, source.n_emitters)
     sizes = _batch_sizes(n_realizations, n_batches)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     jobs = [
@@ -367,19 +351,20 @@ def _raw_covariance(
         results = [_batch_moments(*job) for job in jobs]
 
     batch_covs = []
-    total_ic = np.zeros(grid.shape[0])
-    total_it = np.zeros(grid.shape[0])
-    total_icit = np.zeros(grid.shape[0])
+    total_ic = np.zeros(kernel_c.shape[1])
+    total_it = np.zeros(kernel_c.shape[1])
+    total_icit = np.zeros(kernel_c.shape[1])
     for (s_ic, s_it, s_icit), count in zip(results, [j[3] for j in jobs]):
         batch_covs.append(s_icit / count - (s_ic / count) * (s_it / count))
         total_ic += s_ic
         total_it += s_it
         total_icit += s_icit
     n = float(n_realizations)
-    covariance = total_icit / n - (total_ic / n) * (total_it / n)
+    mean_c = total_ic / n
+    covariance = total_icit / n - mean_c * (total_it / n)
     batch_covs = np.asarray(batch_covs)
     stderr = batch_covs.std(axis=0, ddof=1) / math.sqrt(batch_covs.shape[0])
-    return covariance, stderr
+    return mean_c, covariance, stderr
 
 
 def estimate_dn_corr(
@@ -404,9 +389,13 @@ def estimate_dn_corr(
     variable caps worker threads without changing any value.
     """
     grid = np.asarray(grid, dtype=float)
-    covariance, stderr = _raw_covariance(
-        setup, grid, n_realizations, seed, angles,
-        n_emitters, mean_photon_number, n_batches, bs_convention,
+    if grid.ndim != 2 or grid.shape[1] != 2:
+        raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
+    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
+    kernel_c = _kernel_matrix(source, setup, "C", grid[:, 0], angles, bs_convention)
+    kernel_t = _kernel_matrix(source, setup, "T", grid[:, 1], angles, bs_convention)
+    _, covariance, stderr = _ensemble_moments(
+        source, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
     weight = np.array([envelope_power(setup, x_c, x_t) for x_c, x_t in grid])
     weighted = covariance / weight
@@ -440,24 +429,16 @@ def estimate_mean_intensity(
     mean_photon_number: float = 1.0,
     bs_convention: str = "i",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-detector mean intensity over a position scan, with its stderr."""
-    if n_realizations < 100:
-        raise ValueError(f"n_realizations must be at least 100, got {n_realizations}")
-    if n_emitters < 64:
-        raise ValueError(f"ensemble estimation needs n_emitters >= 64, got {n_emitters}")
+    """Single-detector mean intensity over a position scan, with its stderr.
+
+    All positions share one ensemble pass of the batch engine, with the arm's
+    kernel on both sides so its covariance is the per-realization intensity
+    variance; the stderr is sqrt(variance / n_realizations).
+    """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
     kernel = _kernel_matrix(source, setup, arm, xs, angles, bs_convention)
-    total = np.zeros(xs.size)
-    total_sq = np.zeros(xs.size)
-    for index in range(n_realizations):
-        amps = sample_realization(source, seed, index).amplitudes
-        e = amps @ kernel
-        i = e.real**2 + e.imag**2
-        total += i
-        total_sq += i * i
-    mean = total / n_realizations
-    var = total_sq / n_realizations - mean * mean
+    mean, var, _ = _ensemble_moments(source, seed, n_realizations, 10, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
 
@@ -475,32 +456,30 @@ def estimate_truth_table(
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 
-    All combinations share the same realizations (same seed), and the table
-    is normalized by its largest raw entry: per-entry normalization would
-    erase the scale the truth table is about.
+    The 16 settings are kernel columns of one ensemble pass, so they share
+    the same realizations and each realization is drawn once. The table is
+    normalized by its largest raw entry: per-entry normalization would erase
+    the scale the truth table is about.
     """
-    grid = np.array([[x_c, x_t]])
-    values = np.zeros((4, 4))
-    errors = np.zeros((4, 4))
-    for row, input_label in enumerate(BASIS_LABELS):
-        phi_c, phi_t = basis_angles(input_label)
-        for col, output_label in enumerate(BASIS_LABELS):
-            theta_c, theta_t = basis_angles(output_label)
-            angles = GateAngles(phi_c=phi_c, phi_t=phi_t, theta_c=theta_c, theta_t=theta_t)
-            cov, err = _raw_covariance(
-                setup, grid, n_realizations, seed, angles,
-                n_emitters, mean_photon_number, n_batches, bs_convention,
-            )
-            values[row, col] = cov[0]
-            errors[row, col] = err[0]
-    scale = values.max()
+    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
+    settings = basis_settings()
+    kernel_c = np.hstack(
+        [_kernel_matrix(source, setup, "C", [x_c], angles, bs_convention) for angles in settings]
+    )
+    kernel_t = np.hstack(
+        [_kernel_matrix(source, setup, "T", [x_t], angles, bs_convention) for angles in settings]
+    )
+    _, covariance, stderr = _ensemble_moments(
+        source, seed, n_realizations, n_batches, kernel_c, kernel_t
+    )
+    scale = covariance.max()
     if scale <= 0.0:
         raise ValueError("truth table has no positive entry to normalize by")
     return TruthTable(
         inputs=BASIS_LABELS,
         outputs=BASIS_LABELS,
-        values=values / scale,
-        stderr=errors / scale,
+        values=covariance.reshape(4, 4) / scale,
+        stderr=stderr.reshape(4, 4) / scale,
     )
 
 
@@ -545,9 +524,12 @@ def compare_patterns(analytic: CorrelationPattern, mc) -> dict[str, float]:
 
 __all__ = [
     "EnsembleEstimate",
+    "MIN_EMITTERS",
+    "MIN_REALIZATIONS",
     "Realization",
     "SourceModel",
     "THREADS_ENV_VAR",
+    "check_ensemble_size",
     "compare_patterns",
     "estimate_dn_corr",
     "estimate_mean_intensity",

@@ -181,6 +181,15 @@ def test_scan_bounds_validation(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
+def test_ensemble_size_checked_at_parse_time(tmp_path):
+    text = BASIC_SETUP + MC_SMALL.replace("n_realizations = 300", "n_realizations = 50")
+    with pytest.raises(ConfigError, match=r"\[mc\] n_realizations must be at least 100"):
+        parse_config(write_config(tmp_path, text))
+    text = BASIC_SETUP + MC_SMALL.replace("n_emitters = 64", "n_emitters = 32")
+    with pytest.raises(ConfigError, match=r"\[mc\] n_emitters must be at least 64"):
+        parse_config(write_config(tmp_path, text))
+
+
 # ---------------------------------------------------------------------------
 # scan subcommand
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ghostfringe import montecarlo
 from ghostfringe.analytic import CorrelationPattern, dn_corr_basic
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
@@ -19,7 +20,7 @@ from ghostfringe.montecarlo import (
     free_field,
     sample_realization,
 )
-from ghostfringe.gate import BASIS_LABELS, ideal_cnot_table
+from ghostfringe.gate import BASIS_LABELS, basis_settings, ideal_cnot_table
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
 
@@ -316,6 +317,26 @@ def test_mean_intensity_nearly_uniform_despite_fringes():
     assert np.all(stderr > 0.0)
 
 
+def test_mean_intensity_matches_per_realization_loop():
+    setup = gate_setup()
+    xs = np.array([0.0, 1e-5, 3e-5])
+    n = 200
+    mean, stderr = estimate_mean_intensity(
+        setup, "T", xs, n_realizations=n, seed=6, angles=QUARTER_ANGLES, n_emitters=64
+    )
+    source = SourceModel(a=setup.a, n_emitters=64)
+    intensities = np.array([
+        [
+            abs(field_at_detector(sample_realization(source, 6, k), setup, "T", x,
+                                  angles=QUARTER_ANGLES)) ** 2
+            for x in xs
+        ]
+        for k in range(n)
+    ])
+    np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(stderr, intensities.std(axis=0) / math.sqrt(n), rtol=1e-9)
+
+
 @pytest.mark.parametrize(
     "setup, angles",
     [
@@ -362,6 +383,63 @@ def test_truth_table_estimate_recovers_permutation_structure():
             f"row {BASIS_LABELS[row]} peaks at the wrong output"
         )
         assert table.values[row, np.argmax(ideal[row])] > 0.8
+
+
+def test_truth_table_draws_each_realization_once(monkeypatch):
+    drawn = []
+    original = montecarlo.sample_realization
+
+    def counting(source, seed, index):
+        drawn.append(index)
+        return original(source, seed, index)
+
+    monkeypatch.setattr(montecarlo, "sample_realization", counting)
+    estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=200, seed=23, n_emitters=64)
+    assert sorted(drawn) == list(range(200))
+
+
+@pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
+def test_truth_table_matches_per_setting_loop(setup):
+    """Each entry is its own setting's covariance over the same draws, scaled by the table max.
+
+    The reference loops over settings and realizations with the public field
+    function, as 16 single-setting passes would; estimate_dn_corr cannot serve
+    here because it refuses a single point whose covariance is not positive.
+    """
+    n, n_batches = 300, 10
+    table = estimate_truth_table(setup, 0.0, 0.0, n_realizations=n, seed=31, n_emitters=64)
+    source = SourceModel(a=setup.a, n_emitters=64)
+    realizations = [sample_realization(source, 31, k) for k in range(n)]
+    raw, batch_err = [], []
+    for angles in basis_settings():
+        i_c, i_t = (
+            np.array([
+                abs(field_at_detector(r, setup, arm, 0.0, angles=angles)) ** 2
+                for r in realizations
+            ]).reshape(n_batches, -1)
+            for arm in ("C", "T")
+        )
+        raw.append(np.mean(i_c * i_t) - i_c.mean() * i_t.mean())
+        batch_cov = (i_c * i_t).mean(axis=1) - i_c.mean(axis=1) * i_t.mean(axis=1)
+        batch_err.append(batch_cov.std(ddof=1) / math.sqrt(n_batches))
+    scale = max(raw)
+    np.testing.assert_allclose(
+        table.values, np.reshape(raw, (4, 4)) / scale, rtol=0.0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        table.stderr, np.reshape(batch_err, (4, 4)) / scale, rtol=0.0, atol=1e-12
+    )
+
+
+def test_truth_table_is_deterministic_across_threads(monkeypatch):
+    monkeypatch.delenv("GHOSTFRINGE_THREADS", raising=False)
+    serial = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
+    monkeypatch.setenv("GHOSTFRINGE_THREADS", "2")
+    threaded = estimate_truth_table(
+        mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64
+    )
+    assert np.array_equal(serial.values, threaded.values)
+    assert np.array_equal(serial.stderr, threaded.stderr)
 
 
 # ---------------------------------------------------------------------------
