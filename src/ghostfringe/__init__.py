@@ -6,21 +6,7 @@ stochastic-field Monte-Carlo estimator that serves as the numerical reference
 for every closed form.
 """
 
-from .core import (
-    C_LIGHT,
-    analyzer_vector,
-    bs_block,
-    fresnel_phase,
-    jones_element,
-    jones_flip,
-    jones_identity,
-    jones_polarizer_h,
-    jones_polarizer_v,
-    jones_rotation,
-    sinc,
-    tophat_ft,
-    wrap_angle,
-)
+from .core import C_LIGHT, sinc, tophat_ft
 from .geometry import (
     ConditionWarning,
     GateAngles,
@@ -34,7 +20,6 @@ from .analytic import (
     PairContribution,
     b_phase,
     check_pair_conditions,
-    coherence_length,
     dn_corr_basic,
     fringe_period_xc,
     g1_pair,
@@ -43,11 +28,9 @@ from .analytic import (
     separation_ratios,
 )
 from .gate import (
-    BlockMatrix,
     TruthTable,
     cnot_condition_margin,
     cnot_truth_table,
-    compose_network,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import C_LIGHT, sinc, tophat_ft
+from .core import C_LIGHT, sinc
 from .geometry import ConditionWarning, SetupBasic
 
 PATTERN_MODES = ("exact", "asymptotic", "monte-carlo")
@@ -26,11 +26,6 @@ PATTERN_MODES = ("exact", "asymptotic", "monte-carlo")
 # Artifact thresholds for the "far above" / "far below" regime checks.
 CROSS_RATIO_MIN = 10.0
 WITHIN_RATIO_MAX = 0.1
-
-
-def coherence_length(setup: SetupBasic) -> float:
-    """Transverse coherence length wavelength*z/(2a)."""
-    return setup.l_coh
 
 
 def b_phase(xj: float, xd: float, setup: SetupBasic, mask_quad_scale: float = 1.0) -> complex:
@@ -276,7 +271,6 @@ __all__ = [
     "PairContribution",
     "b_phase",
     "check_pair_conditions",
-    "coherence_length",
     "dn_corr_basic",
     "four_pair_sum",
     "fringe_period_xc",
@@ -284,6 +278,5 @@ __all__ = [
     "pattern_visibility",
     "phase_phi_basic",
     "separation_ratios",
-    "tophat_ft",
     "warn_pair_conditions",
 ]

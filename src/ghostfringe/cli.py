@@ -20,17 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import (
-    CROSS_RATIO_MIN,
-    WITHIN_RATIO_MAX,
-    CorrelationPattern,
-    check_pair_conditions,
-    separation_ratios,
-)
+from .analytic import CorrelationPattern, check_pair_conditions, separation_ratios
 from .gate import (
     BASIS_LABELS,
     TruthTable,
     basis_settings,
+    check_mz_conditions,
     cnot_condition_margin,
     dn_corr_gate,
     dn_corr_mz,
@@ -305,28 +300,17 @@ def conditions_report(config: ExperimentConfig) -> tuple[dict[str, float], list[
     setup = config.setup
     if isinstance(setup, SetupMZ):
         margins = dict(mz_condition_margins(setup, x_c, x_t))
-        problems = []
-        for key in ("tilt_c", "tilt_t"):
-            if margins[key] < CROSS_RATIO_MIN:
-                problems.append(f"{key} ratio {margins[key]:.3g} is below {CROSS_RATIO_MIN}")
-        for key in ("tilt_diff", "detector_sep"):
-            if margins[key] > WITHIN_RATIO_MAX:
-                problems.append(f"{key} ratio {margins[key]:.3g} is above {WITHIN_RATIO_MAX}")
-        if margins["phase"] > PHASE_MARGIN_MAX:
-            problems.append(
-                f"phase {margins['phase']:.3g} rad is above {PHASE_MARGIN_MAX}"
-                " (outside the CNOT regime)"
-            )
-        return margins, problems
-    margins = dict(separation_ratios(setup))
-    problems = list(check_pair_conditions(setup))
-    if isinstance(setup, SetupGate):
-        margins["phase"] = cnot_condition_margin(setup, x_c, x_t)
-        if margins["phase"] > PHASE_MARGIN_MAX:
-            problems.append(
-                f"phase {margins['phase']:.3g} rad is above {PHASE_MARGIN_MAX}"
-                " (outside the CNOT regime)"
-            )
+        problems = check_mz_conditions(setup, x_c, x_t)
+    else:
+        margins = dict(separation_ratios(setup))
+        problems = check_pair_conditions(setup)
+        if isinstance(setup, SetupGate):
+            margins["phase"] = cnot_condition_margin(setup, x_c, x_t)
+    if margins.get("phase", 0.0) > PHASE_MARGIN_MAX:
+        problems.append(
+            f"phase {margins['phase']:.3g} rad is above {PHASE_MARGIN_MAX}"
+            " (outside the CNOT regime)"
+        )
     return margins, problems
 
 
@@ -353,9 +337,11 @@ def run(config: ExperimentConfig) -> RunReport:
                 patterns[mode] = evaluate_pattern(config.setup, grid, mode, angles=config.angles)
         timings[mode] = time.perf_counter() - tic
         for record in records:
-            message = str(record.message)
-            if issubclass(record.category, ConditionWarning) and message not in warned:
-                warned.append(message)
+            # A ConditionWarning reads "<context>: <problem>"; the problem text
+            # matches conditions_report, so each violation is reported once.
+            problem = str(record.message).rpartition(": ")[2]
+            if issubclass(record.category, ConditionWarning) and problem not in warned:
+                warned.append(problem)
 
     comparisons: dict[str, dict[str, float]] = {}
     for mode in ("exact", "asymptotic"):
@@ -367,9 +353,7 @@ def run(config: ExperimentConfig) -> RunReport:
         )
 
     margins, problems = conditions_report(config)
-    for message in warned:
-        if message not in problems:
-            problems.append(message)
+    problems += [problem for problem in warned if problem not in problems]
     return RunReport(
         config=config, grid=grid, patterns=patterns, estimates=estimates,
         comparisons=comparisons, margins=margins, problems=problems, timings=timings,

@@ -1,29 +1,15 @@
-"""Numeric building blocks: paraxial phase factors, the slit envelope, Jones algebra.
+"""Numeric building blocks: the speed of light, sinc and the slit envelope.
 
 All lengths are in meters, angles in radians. Constant prefactors that cancel in
-normalized correlation patterns are dropped throughout the package, so every
-propagation factor returned here has unit modulus.
+normalized correlation patterns are dropped throughout the package.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # Exact SI value; angular frequency is always derived as 2*pi*C_LIGHT/wavelength.
 C_LIGHT = 299792458.0
-
-_JONES_KINDS = ("rotation", "polarizer_h", "polarizer_v", "flip", "identity")
-
-
-def fresnel_phase(alpha: float, beta: float) -> complex:
-    """Quadratic paraxial phase factor exp(i * beta * alpha**2 / 2).
-
-    alpha is a transverse coordinate (m), beta a curvature in rad/m^2,
-    typically omega/(c*L) for a propagation distance L.
-    """
-    return complex(math.cos(beta * alpha * alpha / 2.0), math.sin(beta * alpha * alpha / 2.0))
 
 
 def sinc(x):
@@ -55,74 +41,3 @@ def tophat_ft(a: float, dx: float, l_coh: float):
         raise ValueError(f"coherence length must be positive, got l_coh={l_coh}")
     return 2.0 * a * sinc(np.pi * np.asarray(dx, dtype=float) / l_coh)
 
-
-def jones_rotation(phi: float) -> np.ndarray:
-    """Half-wave-plate style rotation [[cos, sin], [sin, -cos]]; self-inverse."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def jones_polarizer_h() -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def jones_polarizer_v() -> np.ndarray:
-    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
-def jones_flip() -> np.ndarray:
-    """Polarization exchange H <-> V."""
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def jones_identity() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def jones_element(kind: str, angle: float | None = None) -> np.ndarray:
-    """Build a 2x2 Jones matrix by name.
-
-    kind is one of 'rotation', 'polarizer_h', 'polarizer_v', 'flip',
-    'identity'. Only 'rotation' takes an angle; passing one to any other
-    kind, or omitting it for 'rotation', is an error.
-    """
-    if kind not in _JONES_KINDS:
-        raise ValueError(f"unknown Jones element kind {kind!r}, expected one of {_JONES_KINDS}")
-    if kind == "rotation":
-        if angle is None:
-            raise ValueError("jones_element('rotation') requires an angle")
-        return jones_rotation(angle)
-    if angle is not None:
-        raise ValueError(f"jones_element({kind!r}) takes no angle")
-    if kind == "polarizer_h":
-        return jones_polarizer_h()
-    if kind == "polarizer_v":
-        return jones_polarizer_v()
-    if kind == "flip":
-        return jones_flip()
-    return jones_identity()
-
-
-def analyzer_vector(theta: float) -> np.ndarray:
-    """Unit Jones vector (cos theta, sin theta) of a linear analyzer."""
-    return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-
-
-def bs_block() -> np.ndarray:
-    """Symmetric beam-splitter block: (1/sqrt(2)) [[I, iI], [iI, I]] on two 2-vectors.
-
-    Reflection carries the factor i; this convention is common to both
-    pinholes of an arm and therefore cancels in every correlation.
-    """
-    eye = np.eye(2, dtype=complex)
-    top = np.hstack([eye, 1j * eye])
-    bot = np.hstack([1j * eye, eye])
-    return np.vstack([top, bot]) / math.sqrt(2.0)
-
-
-def wrap_angle(phi: float) -> float:
-    """Wrap an angle to (-pi, pi] for display; raw phases stay unwrapped."""
-    w = math.remainder(phi, math.tau)
-    if w <= -math.pi:
-        w = math.pi
-    return w

@@ -24,16 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    C_LIGHT,
-    analyzer_vector,
-    jones_flip,
-    jones_identity,
-    jones_polarizer_h,
-    jones_polarizer_v,
-    jones_rotation,
-    sinc,
-)
+from .core import C_LIGHT, sinc
 from .geometry import ConditionWarning, GateAngles, SetupGate, SetupMZ
 from .analytic import (
     CROSS_RATIO_MIN,
@@ -183,16 +174,21 @@ def mz_condition_margins(setup: SetupMZ, x_c: float, x_t: float) -> dict[str, fl
     }
 
 
-def _warn_mz_conditions(setup: SetupMZ, x_c: float, x_t: float) -> None:
+def check_mz_conditions(setup: SetupMZ, x_c: float, x_t: float) -> list[str]:
+    """Return human-readable violations of the tilted-mirror two-path regime, if any."""
     margins = mz_condition_margins(setup, x_c, x_t)
     problems = []
     for key in ("tilt_c", "tilt_t"):
         if margins[key] < CROSS_RATIO_MIN:
-            problems.append(f"{key} = {margins[key]:.3g} is below {CROSS_RATIO_MIN:g}")
+            problems.append(f"{key} ratio {margins[key]:.3g} is below {CROSS_RATIO_MIN}")
     for key in ("tilt_diff", "detector_sep"):
         if margins[key] > WITHIN_RATIO_MAX:
-            problems.append(f"{key} = {margins[key]:.3g} is above {WITHIN_RATIO_MAX:g}")
-    for problem in problems:
+            problems.append(f"{key} ratio {margins[key]:.3g} is above {WITHIN_RATIO_MAX}")
+    return problems
+
+
+def _warn_mz_conditions(setup: SetupMZ, x_c: float, x_t: float) -> None:
+    for problem in check_mz_conditions(setup, x_c, x_t):
         warnings.warn(
             f"two-path form of the tilted-mirror gate may be inaccurate: {problem}",
             ConditionWarning,
@@ -262,145 +258,6 @@ def dn_corr_mz(
 
 
 # ---------------------------------------------------------------------------
-# Network composition
-# ---------------------------------------------------------------------------
-
-# A "path block" maps a path label to the accumulated 2x2 Jones matrix along
-# that path. Free-space factors compose into a single per-path propagation
-# factor, so only the label needs tracking; '' marks "no labeled element yet".
-_PathBlock = dict[str, np.ndarray]
-
-
-def _pb_mul(a: _PathBlock, b: _PathBlock) -> _PathBlock:
-    out: _PathBlock = {}
-    for la, ma in a.items():
-        for lb, mb in b.items():
-            if la and lb:
-                raise ValueError(f"a path cannot traverse two labeled elements: {la!r}, {lb!r}")
-            label = la or lb
-            prod = ma @ mb
-            if label in out:
-                out[label] = out[label] + prod
-            else:
-                out[label] = prod
-    return out
-
-
-def _pb_add(a: _PathBlock, b: _PathBlock) -> _PathBlock:
-    out = dict(a)
-    for label, mat in b.items():
-        out[label] = out[label] + mat if label in out else mat
-    return out
-
-
-_Block2x2 = list  # 2x2 nested list of _PathBlock
-
-
-def _block_mul(a: _Block2x2, b: _Block2x2) -> _Block2x2:
-    out = [[{}, {}], [{}, {}]]
-    for r in range(2):
-        for c in range(2):
-            acc: _PathBlock = {}
-            for k in range(2):
-                acc = _pb_add(acc, _pb_mul(a[r][k], b[k][c]))
-            out[r][c] = acc
-    return out
-
-
-def _diag(upper: _PathBlock, lower: _PathBlock) -> _Block2x2:
-    return [[upper, {}], [{}, lower]]
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Source-to-detector network as 2x2 Jones blocks per labeled path.
-
-    Rows are the detectors ('C', 'T'), columns the source ports ('S', 'Sp').
-    The second port is unoccupied in every experiment here, so its column
-    never contributes to correlations; it is kept so the composition stays
-    unitary bookkeeping rather than a projection.
-    """
-
-    blocks: dict[tuple[str, str], _PathBlock]
-
-    def path_amplitudes(self, arm: str, theta: float, column: str = "S") -> dict[str, complex]:
-        """Scalar amplitude per path after contracting with the H input and the analyzer."""
-        block = self.blocks[(arm, column)]
-        bra = analyzer_vector(theta)
-        ket = np.array([1.0, 0.0], dtype=complex)
-        return {label: complex(bra @ mat @ ket) for label, mat in sorted(block.items())}
-
-    def pair_coefficients(
-        self, theta_c: float, theta_t: float, occupations: tuple[float, float] = (1.0, 0.0)
-    ) -> dict[tuple[str, str], complex]:
-        """conj(C-arm amplitude) * (T-arm amplitude) per path pair.
-
-        occupations weights the two source ports; the default is the physical
-        one (chaotic light in S, vacuum in S').
-        """
-        out: dict[tuple[str, str], complex] = {}
-        for column, occ in zip(("S", "Sp"), occupations):
-            if occ == 0.0:
-                continue
-            amps_c = self.path_amplitudes("C", theta_c, column)
-            amps_t = self.path_amplitudes("T", theta_t, column)
-            for lc, ac in amps_c.items():
-                for lt, at in amps_t.items():
-                    key = (lc, lt)
-                    out[key] = out.get(key, 0.0) + occ * ac.conjugate() * at
-        return out
-
-
-def compose_network(
-    setup: SetupGate | SetupMZ, angles: GateAngles, kappa: float = 0.0
-) -> BlockMatrix:
-    """Multiply out the optical network into per-path Jones blocks.
-
-    The free-space propagation factors compose segment by segment into one
-    factor per complete path and are tracked symbolically through the path
-    labels ('1', '2' in arm C; '1p', '2p' in arm T); kappa never enters the
-    polarization content and is accepted only to fix the plane-wave component
-    the labels refer to.
-    """
-    del kappa
-    isq = 1j / math.sqrt(2.0)
-    rsq = 1.0 / math.sqrt(2.0)
-    r_c = jones_rotation(angles.phi_c)
-    r_t = jones_rotation(angles.phi_t)
-    eye = jones_identity()
-    if isinstance(setup, SetupGate):
-        p_ini = _diag({"": eye}, {"": eye})
-        bs = [[{"": rsq * eye}, {"": isq * eye}], [{"": isq * eye}, {"": rsq * eye}]]
-        p_free = _diag({"": eye}, {"": eye})
-        plates = _diag({"": r_c}, {"": r_t})
-        masks = _diag(
-            {"1": jones_polarizer_h(), "2": jones_polarizer_v()},
-            {"1p": eye, "2p": jones_flip()},
-        )
-        total = _block_mul(masks, _block_mul(plates, _block_mul(p_free, _block_mul(bs, p_ini))))
-    elif isinstance(setup, SetupMZ):
-        p_ini = _diag({"": eye}, {"": eye})
-        bs = [[{"": rsq * eye}, {"": isq * eye}], [{"": isq * eye}, {"": rsq * eye}]]
-        plates = _diag({"": r_c}, {"": r_t})
-        prep = _block_mul(plates, _block_mul(bs, p_ini))
-        interferometers = _diag(
-            {"1": 1j * jones_polarizer_h(), "2": -1j * jones_polarizer_v()},
-            {"1p": 0.5j * eye, "2p": -0.5j * jones_flip()},
-        )
-        total = _block_mul(interferometers, prep)
-    else:
-        raise TypeError(f"compose_network needs SetupGate or SetupMZ, got {type(setup).__name__}")
-    return BlockMatrix(
-        blocks={
-            ("C", "S"): total[0][0],
-            ("C", "Sp"): total[0][1],
-            ("T", "S"): total[1][0],
-            ("T", "Sp"): total[1][1],
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
 # Truth tables
 # ---------------------------------------------------------------------------
 
@@ -460,13 +317,12 @@ def cnot_truth_table(phi: float = 0.0) -> TruthTable:
 __all__ = [
     "BASIS_ANGLES",
     "BASIS_LABELS",
-    "BlockMatrix",
     "TruthTable",
     "basis_angles",
     "basis_settings",
+    "check_mz_conditions",
     "cnot_condition_margin",
     "cnot_truth_table",
-    "compose_network",
     "dn_corr_gate",
     "dn_corr_mz",
     "envelope_power",

@@ -112,16 +112,6 @@ def sample_realization(source: SourceModel, seed: int, index: int) -> Realizatio
 # ---------------------------------------------------------------------------
 
 
-def _bs_factor(arm: str, convention: str) -> complex:
-    # Arm T is the reflected output. The factor is common to all paths of the
-    # arm, so intensities and correlations cannot depend on the convention.
-    if convention == "i":
-        return 1j if arm == "T" else 1.0
-    if convention == "pi":
-        return -1.0 if arm == "T" else 1.0
-    raise ValueError(f"bs_convention must be 'i' or 'pi', got {convention!r}")
-
-
 def _require_angles(setup, angles) -> GateAngles:
     if angles is None:
         raise ValueError(
@@ -179,7 +169,6 @@ def _kernel_matrix(
     arm: str,
     detector_positions,
     angles: GateAngles | None,
-    bs_convention: str,
     open_paths=None,
 ) -> np.ndarray:
     """Propagation matrix K with K[m, g] = sum over open paths of the arm.
@@ -191,7 +180,6 @@ def _kernel_matrix(
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     k = 2.0 * math.pi / setup.wavelength
-    factor = _bs_factor(arm, bs_convention)
     if isinstance(setup, SetupMZ):
         terms = _select_paths(_mz_path_terms(setup, arm, angles), open_paths)
     else:
@@ -207,7 +195,7 @@ def _kernel_matrix(
             source_leg = np.exp(1j * k / (2.0 * setup.z) * (xm - xp) ** 2)
             detector_leg = np.exp(1j * k / (2.0 * setup.f) * (xp - xs) ** 2)
             out += coeff * source_leg[:, None] * detector_leg[None, :]
-    return factor * out
+    return out
 
 
 def field_at_detector(
@@ -217,7 +205,6 @@ def field_at_detector(
     x_d: float,
     angles: GateAngles | None = None,
     open_paths=None,
-    bs_convention: str = "i",
 ) -> complex:
     """Scalar analyzer-projected field at detector position x_d.
 
@@ -226,38 +213,8 @@ def field_at_detector(
     SetupBasic they must be omitted. open_paths restricts which of the two
     paths of the arm are open, e.g. (1,) to close the second pinhole.
     """
-    kernel = _kernel_matrix(
-        realization.source, setup, arm, [x_d], angles, bs_convention, open_paths
-    )
+    kernel = _kernel_matrix(realization.source, setup, arm, [x_d], angles, open_paths)
     return complex(realization.amplitudes @ kernel[:, 0])
-
-
-def field_hv_at_detector(
-    realization: Realization,
-    setup: SetupGate | SetupMZ,
-    arm: str,
-    x_d: float,
-    angles: GateAngles,
-    bs_convention: str = "i",
-) -> tuple[complex, complex]:
-    """Unprojected (H, V) field components, a diagnostic for polarized setups.
-
-    The summed modulus squared of the two components is the intensity a
-    polarization-blind detector would see.
-    """
-    if not isinstance(setup, (SetupGate, SetupMZ)):
-        raise TypeError("field_hv_at_detector needs a polarized setup")
-    e_h = field_at_detector(
-        realization, setup, arm, x_d,
-        angles=GateAngles(angles.phi_c, angles.phi_t, 0.0, 0.0),
-        bs_convention=bs_convention,
-    )
-    e_v = field_at_detector(
-        realization, setup, arm, x_d,
-        angles=GateAngles(angles.phi_c, angles.phi_t, math.pi / 2.0, math.pi / 2.0),
-        bs_convention=bs_convention,
-    )
-    return e_h, e_v
 
 
 def free_field(realization: Realization, setup, x_d: float) -> complex:
@@ -376,7 +333,6 @@ def estimate_dn_corr(
     n_emitters: int = 256,
     mean_photon_number: float = 1.0,
     n_batches: int = 10,
-    bs_convention: str = "i",
 ) -> EnsembleEstimate:
     """Ensemble estimate of the fluctuation correlation over a (N, 2) grid.
 
@@ -392,8 +348,8 @@ def estimate_dn_corr(
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel_c = _kernel_matrix(source, setup, "C", grid[:, 0], angles, bs_convention)
-    kernel_t = _kernel_matrix(source, setup, "T", grid[:, 1], angles, bs_convention)
+    kernel_c = _kernel_matrix(source, setup, "C", grid[:, 0], angles)
+    kernel_t = _kernel_matrix(source, setup, "T", grid[:, 1], angles)
     _, covariance, stderr = _ensemble_moments(
         source, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
@@ -427,7 +383,6 @@ def estimate_mean_intensity(
     angles: GateAngles | None = None,
     n_emitters: int = 256,
     mean_photon_number: float = 1.0,
-    bs_convention: str = "i",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-detector mean intensity over a position scan, with its stderr.
 
@@ -437,7 +392,7 @@ def estimate_mean_intensity(
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel = _kernel_matrix(source, setup, arm, xs, angles, bs_convention)
+    kernel = _kernel_matrix(source, setup, arm, xs, angles)
     mean, var, _ = _ensemble_moments(source, seed, n_realizations, 10, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
@@ -452,7 +407,6 @@ def estimate_truth_table(
     n_emitters: int = 256,
     mean_photon_number: float = 1.0,
     n_batches: int = 10,
-    bs_convention: str = "i",
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 
@@ -464,10 +418,10 @@ def estimate_truth_table(
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
     settings = basis_settings()
     kernel_c = np.hstack(
-        [_kernel_matrix(source, setup, "C", [x_c], angles, bs_convention) for angles in settings]
+        [_kernel_matrix(source, setup, "C", [x_c], angles) for angles in settings]
     )
     kernel_t = np.hstack(
-        [_kernel_matrix(source, setup, "T", [x_t], angles, bs_convention) for angles in settings]
+        [_kernel_matrix(source, setup, "T", [x_t], angles) for angles in settings]
     )
     _, covariance, stderr = _ensemble_moments(
         source, seed, n_realizations, n_batches, kernel_c, kernel_t
@@ -535,7 +489,6 @@ __all__ = [
     "estimate_mean_intensity",
     "estimate_truth_table",
     "field_at_detector",
-    "field_hv_at_detector",
     "free_field",
     "sample_realization",
 ]

@@ -288,11 +288,39 @@ def test_seed_override_changes_ensemble(tmp_path):
 
 def test_scan_reports_condition_problems(tmp_path, capsys):
     close = BASIC_SETUP.replace("x1 = -5e-3", "x1 = -5e-4").replace("x2 = 5e-3", "x2 = 5e-4")
-    config = write_config(tmp_path, close + SCAN_SMALL + "\n[run]\nmode = asymptotic\n")
-    out = tmp_path / "out"
-    assert main(["scan", "--config", config, "--out", str(out)]) == 0
-    assert "condition:" in capsys.readouterr().err
-    assert main(["scan", "--config", config, "--out", str(out), "--strict-conditions"]) == 2
+    # Tilts of 2 and 1.2 l_coh; the x_C scan leaves detector_sep violated off centre only.
+    small_tilts = """\
+[setup]
+kind = mz
+a = 0.5e-3
+lambda = 500e-9
+z = 1.0
+zbar = 0.2
+delta_c = 2.5e-3
+delta_t = 1.5e-3
+
+[scan]
+axis = x_C
+start = -1e-4
+stop = 1e-4
+step = 2e-5
+"""
+    cases = (
+        ("basic", close + SCAN_SMALL, ("cross_12p", "cross_21p")),
+        ("mz", small_tilts, ("tilt_c", "tilt_t", "tilt_diff", "phase")),
+    )
+    for name, text, violated in cases:
+        config = write_config(tmp_path, text + "\n[run]\nmode = asymptotic\n", f"{name}.ini")
+        out = tmp_path / name
+        assert main(["scan", "--config", config, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if line.startswith("condition:")]
+        for key in violated:
+            assert sum(key in line for line in lines) == 1, (key, lines)
+        assert main(["scan", "--config", config, "--out", str(out), "--strict-conditions"]) == 2
+        capsys.readouterr()
+    assert len(lines) == len(set(lines)), lines
+    assert any("detector_sep" in line for line in lines)
 
 
 def test_config_error_prints_and_exits_one(tmp_path, capsys):

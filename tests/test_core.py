@@ -1,73 +1,17 @@
-"""Numeric building blocks: phase factors, slit envelope, Jones algebra."""
+"""Numeric building blocks: the speed of light, sinc and the slit envelope."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from ghostfringe.core import (
-    C_LIGHT,
-    analyzer_vector,
-    bs_block,
-    fresnel_phase,
-    jones_element,
-    jones_flip,
-    jones_identity,
-    jones_polarizer_h,
-    jones_polarizer_v,
-    jones_rotation,
-    sinc,
-    tophat_ft,
-    wrap_angle,
-)
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
+from ghostfringe.core import C_LIGHT, sinc, tophat_ft
 
 
 def test_c_light_exact_si():
     assert C_LIGHT == 299792458.0
-
-
-# ---------------------------------------------------------------------------
-# fresnel_phase
-# ---------------------------------------------------------------------------
-
-
-def test_fresnel_zero_offset():
-    assert fresnel_phase(0.0, 1.23e9) == 1.0 + 0.0j
-
-
-def test_fresnel_known_value():
-    # beta * alpha^2 / 2 = 1e7 * 1e-6 / 2 = 5.0 rad
-    got = fresnel_phase(1.0e-3, 1.0e7)
-    assert got == pytest.approx(cmath.exp(5.0j), abs=1e-14)
-
-
-@given(st.floats(min_value=-1e-2, max_value=1e-2), st.floats(min_value=-1e9, max_value=1e9))
-def test_fresnel_unit_modulus(alpha, beta):
-    assert abs(abs(fresnel_phase(alpha, beta)) - 1.0) < 1e-12
-
-
-@given(st.floats(min_value=-1e-2, max_value=1e-2), st.floats(min_value=0.0, max_value=1e9))
-def test_fresnel_conjugate_flips_curvature(alpha, beta):
-    assert fresnel_phase(alpha, beta).conjugate() == pytest.approx(
-        fresnel_phase(alpha, -beta), abs=1e-12
-    )
-
-
-@given(
-    st.floats(min_value=-1e-2, max_value=1e-2),
-    st.floats(min_value=-1e-2, max_value=1e-2),
-    st.floats(min_value=0.0, max_value=1e9),
-)
-def test_fresnel_composition(alpha, alpha_p, beta):
-    # exp(i b (a+a')^2/2) = exp(i b a^2/2) exp(i b a'^2/2) exp(i b a a')
-    lhs = fresnel_phase(alpha + alpha_p, beta)
-    rhs = fresnel_phase(alpha, beta) * fresnel_phase(alpha_p, beta) * cmath.exp(1j * beta * alpha * alpha_p)
-    assert abs(lhs - rhs) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -122,91 +66,3 @@ def test_tophat_even_and_bounded(a, dx, l_coh):
     assert abs(value) <= 2.0 * a * (1.0 + 1e-12)
     if dx != 0.0:
         assert abs(value) <= 2.0 * a * l_coh / (math.pi * abs(dx)) * (1.0 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Jones elements
-# ---------------------------------------------------------------------------
-
-
-def test_rotation_at_zero():
-    assert np.allclose(jones_rotation(0.0), [[1, 0], [0, -1]])
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0))
-def test_rotation_unitary_self_adjoint_involution(phi):
-    r = jones_rotation(phi)
-    assert np.allclose(r, r.conj().T, atol=1e-15)
-    assert np.allclose(r @ r, np.eye(2), atol=1e-12)
-
-
-def test_projectors():
-    ph, pv = jones_polarizer_h(), jones_polarizer_v()
-    assert np.allclose(ph @ ph, ph)
-    assert np.allclose(pv @ pv, pv)
-    assert np.allclose(ph + pv, np.eye(2))
-    assert np.allclose(ph @ pv, np.zeros((2, 2)))
-
-
-def test_flip_squares_to_identity():
-    f = jones_flip()
-    assert np.allclose(f @ f, np.eye(2))
-
-
-def test_jones_element_dispatch():
-    assert np.allclose(jones_element("rotation", 0.3), jones_rotation(0.3))
-    assert np.allclose(jones_element("flip"), jones_flip())
-    assert np.allclose(jones_element("identity"), jones_identity())
-    assert np.allclose(jones_element("polarizer_h"), jones_polarizer_h())
-    assert np.allclose(jones_element("polarizer_v"), jones_polarizer_v())
-
-
-def test_jones_element_angle_rules():
-    with pytest.raises(ValueError, match="requires an angle"):
-        jones_element("rotation")
-    with pytest.raises(ValueError, match="takes no angle"):
-        jones_element("flip", 0.5)
-    with pytest.raises(ValueError, match="unknown"):
-        jones_element("waveplate")
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0))
-def test_analyzer_vector_unit_norm(theta):
-    v = analyzer_vector(theta)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Beam splitter block
-# ---------------------------------------------------------------------------
-
-
-def test_bs_block_unitary():
-    bs = bs_block()
-    assert np.allclose(bs @ bs.conj().T, np.eye(4), atol=1e-14)
-
-
-def test_bs_block_amplitudes():
-    bs = bs_block()
-    assert bs[0, 0] == pytest.approx(1.0 / math.sqrt(2.0))
-    assert bs[0, 2] == pytest.approx(1j / math.sqrt(2.0))
-    assert bs[2, 0] == pytest.approx(1j / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# wrap_angle
-# ---------------------------------------------------------------------------
-
-
-@given(st.floats(min_value=-1e6, max_value=1e6))
-@settings(max_examples=200)
-def test_wrap_angle_range_and_consistency(phi):
-    w = wrap_angle(phi)
-    assert -math.pi < w <= math.pi
-    assert cmath.exp(1j * w) == pytest.approx(cmath.exp(1j * phi), abs=1e-9)
-
-
-def test_wrap_angle_boundary():
-    assert wrap_angle(math.pi) == math.pi
-    assert wrap_angle(-math.pi) == math.pi
-    assert wrap_angle(3.0 * math.pi) == pytest.approx(math.pi)

@@ -15,7 +15,6 @@ from ghostfringe.gate import (
     basis_angles,
     cnot_condition_margin,
     cnot_truth_table,
-    compose_network,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,
@@ -29,7 +28,7 @@ from ghostfringe.gate import (
     p_cnot,
     p_controlled_u,
 )
-from ghostfringe.geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, SetupMZ
+from ghostfringe.geometry import ConditionWarning, GateAngles, SetupGate, SetupMZ
 
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 phase = st.floats(min_value=-10.0, max_value=10.0)
@@ -352,46 +351,32 @@ def test_envelope_power_constant_for_masks_variable_for_mirrors():
 
 
 # ---------------------------------------------------------------------------
-# Network composition
+# Per-path Jones oracle
 # ---------------------------------------------------------------------------
 
-
-def test_compose_network_rejects_unpolarized_setup():
-    basic = SetupBasic(a=1e-3, wavelength=500e-9, z=1.0, f=1.0, x1=0, x2=0, x1p=0, x2p=0)
-    with pytest.raises(TypeError, match="SetupGate or SetupMZ"):
-        compose_network(basic, GateAngles(0, 0, 0, 0))
+# Path elements behind the preparation plates: the mask projectors and the 2'
+# flip of the gate, and the polarizing-interferometer paths of the MZ variant.
+_H, _V, _FLIP = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_compose_network_path_labels():
-    bm = compose_network(gate_setup(), GateAngles(0.3, 0.4, 0.0, 0.0))
-    assert set(bm.path_amplitudes("C", 0.2)) == {"1", "2"}
-    assert set(bm.path_amplitudes("T", 0.2)) == {"1p", "2p"}
+def _path_amplitude(splitter, element, phi, theta):
+    """splitter * analyzer(theta) . element . plate(phi) . H along one path."""
+    plate = np.array([[math.cos(phi), math.sin(phi)], [math.sin(phi), -math.cos(phi)]])
+    return splitter * np.array([math.cos(theta), math.sin(theta)]) @ element @ plate[:, 0]
 
 
 @pytest.mark.parametrize(
-    "build, coefficients, factor",
+    "paths_c, paths_t, coefficients, factor",
     [
-        (gate_setup, gate_pair_coefficients, 0.5j),
-        (mz_setup, mz_pair_coefficients, 0.25j),
+        ((_H, _V), (np.eye(2), _FLIP), gate_pair_coefficients, 0.5j),
+        ((1j * _H, -1j * _V), (0.5j * np.eye(2), -0.5j * _FLIP), mz_pair_coefficients, 0.25j),
     ],
+    ids=["gate", "mz"],
 )
-def test_compose_network_reproduces_pair_coefficients(build, coefficients, factor):
-    """Multiplying out the network gives the hand-derived pair weights."""
+def test_jones_oracle_reproduces_pair_coefficients(paths_c, paths_t, coefficients, factor):
+    """Per-path Jones products give the hand-derived pair weights, MZ cross signs included."""
     angles = GateAngles(0.3, 0.4, 0.2, 0.1)
-    bm = compose_network(build(), angles)
-    network = bm.pair_coefficients(angles.theta_c, angles.theta_t)
-    want = coefficients(angles)
-    label = {1: "1", 2: "2"}
-    label_t = {1: "1p", 2: "2p"}
-    for (i, j), coeff in want.items():
-        got = network[(label[i], label_t[j])]
-        assert got == pytest.approx(factor * coeff, abs=1e-10), f"pair {(i, j)}"
-
-
-def test_compose_network_second_port_does_not_mix():
-    """The unused source port feeds both arms but never the correlations."""
-    angles = GateAngles(0.3, 0.4, 0.2, 0.1)
-    bm = compose_network(gate_setup(), angles)
-    default = bm.pair_coefficients(angles.theta_c, angles.theta_t)
-    explicit = bm.pair_coefficients(angles.theta_c, angles.theta_t, occupations=(1.0, 0.0))
-    assert default == explicit
+    for (i, j), coeff in coefficients(angles).items():
+        amp_c = _path_amplitude(1 / math.sqrt(2), paths_c[i - 1], angles.phi_c, angles.theta_c)
+        amp_t = _path_amplitude(1j / math.sqrt(2), paths_t[j - 1], angles.phi_t, angles.theta_t)
+        assert np.conj(amp_c) * amp_t == pytest.approx(factor * coeff, abs=1e-10), f"pair {(i, j)}"

@@ -16,7 +16,6 @@ from ghostfringe.montecarlo import (
     estimate_mean_intensity,
     estimate_truth_table,
     field_at_detector,
-    field_hv_at_detector,
     free_field,
     sample_realization,
 )
@@ -161,34 +160,21 @@ def test_angles_required_for_polarized_setups_only():
         field_at_detector(realization, basic_setup(), "C", 0.0, angles=QUARTER_ANGLES)
 
 
-def test_bs_convention_changes_field_not_intensity():
-    source = SourceModel(a=0.5e-3, n_emitters=16)
-    realization = sample_realization(source, seed=2, index=0)
-    setup = basic_setup()
-    e_i = field_at_detector(realization, setup, "T", 1e-5, bs_convention="i")
-    e_pi = field_at_detector(realization, setup, "T", 1e-5, bs_convention="pi")
-    assert e_i != e_pi
-    assert abs(e_i) == pytest.approx(abs(e_pi), rel=1e-12)
-    with pytest.raises(ValueError, match="bs_convention"):
-        field_at_detector(realization, setup, "T", 1e-5, bs_convention="minus")
-
-
 def test_analyzer_projection_combines_hv_components():
     source = SourceModel(a=0.5e-3, n_emitters=16)
     realization = sample_realization(source, seed=4, index=0)
     setup = gate_setup()
     angles = GateAngles(0.3, 0.8, 0.55, 1.1)
-    e_h, e_v = field_hv_at_detector(realization, setup, "C", 1e-5, angles)
+    e_h, e_v = (
+        field_at_detector(
+            realization, setup, "C", 1e-5,
+            angles=GateAngles(angles.phi_c, angles.phi_t, theta, theta),
+        )
+        for theta in (0.0, math.pi / 2.0)
+    )
     projected = field_at_detector(realization, setup, "C", 1e-5, angles=angles)
     want = math.cos(angles.theta_c) * e_h + math.sin(angles.theta_c) * e_v
     assert projected == pytest.approx(want, rel=1e-10)
-
-
-def test_field_hv_rejects_unpolarized_setup():
-    source = SourceModel(a=0.5e-3, n_emitters=8)
-    realization = sample_realization(source, seed=0, index=0)
-    with pytest.raises(TypeError, match="polarized"):
-        field_hv_at_detector(realization, basic_setup(), "C", 0.0, QUARTER_ANGLES)
 
 
 def test_two_emitter_intensities_add_incoherently():
