@@ -12,6 +12,7 @@ import argparse
 import configparser
 import difflib
 import math
+import re
 import sys
 import time
 import warnings
@@ -314,6 +315,24 @@ def conditions_report(config: ExperimentConfig) -> tuple[dict[str, float], list[
     return margins, problems
 
 
+# Every problem text reads "<key> ... <value> ... above|below <threshold>".
+_PROBLEM = re.compile(
+    r"(?P<key>\S+) \D*(?P<value>[-+]?[\d.]+(?:e[-+]?\d+)?).* (?P<side>above|below) "
+)
+
+
+def _worst_per_margin(problems: list[str]) -> list[str]:
+    """One problem per margin key: the largest value above, the smallest below its threshold."""
+    worst: dict[str, tuple[float, str]] = {}
+    for problem in dict.fromkeys(problems):
+        match = _PROBLEM.match(problem)
+        sign = 1.0 if match["side"] == "above" else -1.0
+        key, badness = match["key"], sign * float(match["value"])
+        if key not in worst or badness > worst[key][0]:
+            worst[key] = (badness, problem)
+    return [problem for _, problem in worst.values()]
+
+
 def run(config: ExperimentConfig) -> RunReport:
     """Evaluate the configured scan in every requested mode."""
     grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
@@ -336,12 +355,13 @@ def run(config: ExperimentConfig) -> RunReport:
             else:
                 patterns[mode] = evaluate_pattern(config.setup, grid, mode, angles=config.angles)
         timings[mode] = time.perf_counter() - tic
-        for record in records:
-            # A ConditionWarning reads "<context>: <problem>"; the problem text
-            # matches conditions_report, so each violation is reported once.
-            problem = str(record.message).rpartition(": ")[2]
-            if issubclass(record.category, ConditionWarning) and problem not in warned:
-                warned.append(problem)
+        # A ConditionWarning reads "<context>: <problem>"; the problem text
+        # matches conditions_report's, so both merge per margin key below.
+        warned += [
+            str(record.message).rpartition(": ")[2]
+            for record in records
+            if issubclass(record.category, ConditionWarning)
+        ]
 
     comparisons: dict[str, dict[str, float]] = {}
     for mode in ("exact", "asymptotic"):
@@ -353,7 +373,7 @@ def run(config: ExperimentConfig) -> RunReport:
         )
 
     margins, problems = conditions_report(config)
-    problems += [problem for problem in warned if problem not in problems]
+    problems = _worst_per_margin(problems + warned)
     return RunReport(
         config=config, grid=grid, patterns=patterns, estimates=estimates,
         comparisons=comparisons, margins=margins, problems=problems, timings=timings,

@@ -4,9 +4,12 @@ The chaotic source is discretized into point emitters on a uniform grid across
 the slit. Each realization draws independent circular complex Gaussian
 amplitudes per emitter and propagates them with paraxial kernels; intensities
 are correlated across the two arms over the ensemble. Realizations are keyed
-by (seed, realization index) through a counter-based generator, so any
-partition of the ensemble across batches or threads reproduces identical
-numbers.
+by (seed, realization index) through the counter-based Philox generator, whose
+key and counter are its whole state: each batch builds one generator and
+re-keys it to (seed, index) with a zero counter for every realization, which
+gives exactly the numbers of a fresh per-realization generator at bulk-draw
+speed. Any partition of the ensemble across batches or threads therefore
+reproduces identical numbers.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -94,16 +97,15 @@ class Realization:
 def sample_realization(source: SourceModel, seed: int, index: int) -> Realization:
     """Draw circular complex Gaussian amplitudes with <|alpha|^2> = mean_photon_number.
 
-    The generator is keyed by (seed, index); emitters consume consecutive
-    counter positions. Identical arguments give identical draws regardless of
-    call order or interleaving.
+    A one-row block of the ensemble draw: the generator is keyed by
+    (seed, index) with a zero counter, and emitters consume consecutive
+    counter positions, so the amplitudes are row `index` of every ensemble
+    pass with this seed. Identical arguments give identical draws regardless
+    of call order or interleaving.
     """
     if index < 0:
         raise ValueError(f"realization index must be nonnegative, got {index}")
-    bitgen = np.random.Philox(key=[seed & _UINT64_MASK, index & _UINT64_MASK])
-    z = np.random.Generator(bitgen).standard_normal(2 * source.n_emitters)
-    scale = math.sqrt(source.mean_photon_number / 2.0)
-    amplitudes = scale * (z[0::2] + 1j * z[1::2])
+    amplitudes = _amplitude_block(source, seed, index, 1)[0]
     return Realization(amplitudes=amplitudes, seed=seed, index=index, source=source)
 
 
@@ -269,9 +271,26 @@ def _worker_count() -> int:
 
 
 def _amplitude_block(source: SourceModel, seed: int, start: int, count: int) -> np.ndarray:
+    """Amplitudes of realizations start .. start + count - 1, one row each.
+
+    One Philox generator serves the whole block. Before each row its state is
+    reset to key (seed, index) with a zero counter and an empty buffer, the
+    state of a freshly built generator, so row r holds exactly the draws of
+    Generator(Philox(key=[seed, start + r])). The normals land in the float64
+    view of the row, which pairs consecutive draws as (real, imaginary).
+    """
     block = np.empty((count, source.n_emitters), dtype=complex)
+    draws = block.view(np.float64)
+    bitgen = np.random.Philox(key=0)
+    generator = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    key[0] = seed & _UINT64_MASK
     for row in range(count):
-        block[row] = sample_realization(source, seed, start + row).amplitudes
+        key[1] = (start + row) & _UINT64_MASK
+        bitgen.state = fresh
+        generator.standard_normal(out=draws[row])
+    draws *= math.sqrt(source.mean_photon_number / 2.0)
     return block
 
 

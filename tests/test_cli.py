@@ -320,7 +320,10 @@ step = 2e-5
         assert main(["scan", "--config", config, "--out", str(out), "--strict-conditions"]) == 2
         capsys.readouterr()
     assert len(lines) == len(set(lines)), lines
-    assert any("detector_sep" in line for line in lines)
+    # detector_sep is violated only off centre; the worst ratio, |x_C| / l_coh = 0.2, is kept.
+    assert [line for line in lines if "detector_sep" in line] == [
+        "condition: detector_sep ratio 0.2 is above 0.1"
+    ]
 
 
 def test_config_error_prints_and_exits_one(tmp_path, capsys):

@@ -87,6 +87,44 @@ def test_realization_index_must_be_nonnegative():
         sample_realization(SourceModel(a=1e-3), seed=0, index=-1)
 
 
+def _fresh_generator_rows(source, seed, indices):
+    """Oracle: one freshly keyed Philox generator per realization."""
+    scale = math.sqrt(source.mean_photon_number / 2.0)
+    rows = []
+    for index in indices:
+        key = np.array([seed, index], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * source.n_emitters)
+        rows.append(scale * (z[0::2] + 1j * z[1::2]))
+    return np.array(rows)
+
+
+def test_amplitude_block_matches_fresh_generator_per_realization():
+    source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
+    seed, start, n = 19, 1000, 12
+    expected = _fresh_generator_rows(source, seed, range(start, start + n))
+    assert np.array_equal(montecarlo._amplitude_block(source, seed, start, n), expected)
+    for cuts in ([5], [1, 2, 11], list(range(1, n))):
+        edges = [0, *cuts, n]
+        pieces = [
+            montecarlo._amplitude_block(source, seed, start + lo, hi - lo)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        assert np.array_equal(np.concatenate(pieces), expected), cuts
+    for row in (0, 7, n - 1):
+        realization = sample_realization(source, seed, start + row)
+        assert np.array_equal(realization.amplitudes, expected[row])
+
+
+def test_seed_keys_the_generator_by_its_uint64_pattern():
+    """Keys at or above 2**63, such as negative seeds mod 2**64, stay exact."""
+    source = SourceModel(a=1e-3, n_emitters=16)
+    for seed in (-1, 2**63 + 5):
+        expected = _fresh_generator_rows(source, seed & (2**64 - 1), [3])[0]
+        assert np.array_equal(sample_realization(source, seed, 3).amplitudes, expected)
+    zero = sample_realization(source, 0, 3).amplitudes
+    assert not np.array_equal(sample_realization(source, -1, 3).amplitudes, zero)
+
+
 def test_amplitude_moments():
     """<|alpha|^2> equals the mean photon number and <alpha^2> vanishes."""
     source = SourceModel(a=1e-3, n_emitters=64, mean_photon_number=2.5)
@@ -373,13 +411,13 @@ def test_truth_table_estimate_recovers_permutation_structure():
 
 def test_truth_table_draws_each_realization_once(monkeypatch):
     drawn = []
-    original = montecarlo.sample_realization
+    original = montecarlo._amplitude_block
 
-    def counting(source, seed, index):
-        drawn.append(index)
-        return original(source, seed, index)
+    def counting(source, seed, start, count):
+        drawn.extend(range(start, start + count))
+        return original(source, seed, start, count)
 
-    monkeypatch.setattr(montecarlo, "sample_realization", counting)
+    monkeypatch.setattr(montecarlo, "_amplitude_block", counting)
     estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=200, seed=23, n_emitters=64)
     assert sorted(drawn) == list(range(200))
 
