@@ -1,12 +1,16 @@
-"""Closed-form fluctuation-correlation patterns for the two-pinhole geometry.
+"""Closed-form fluctuation correlations as interference between pairs of optical paths.
 
-The joint photon-number fluctuation correlation of the two arms is the squared
-modulus of a sum of four path-pair contributions, one per (pinhole in arm C,
-pinhole in arm T) combination. A pair contributes a unit-modulus propagation
-phase times a slit envelope sinc(pi * separation / l_coh). When both
-within-pair separations are far below l_coh and both cross-pair separations
-far above it, only pairs (1,1') and (2,2') survive and the pattern collapses
-to the two-path fringe law 2 + 2*cos(phi).
+Every setup is two arms, C and T, of two paths each: the two pinholes of a
+mask, or the tilted and the straight path of a tilted-mirror interferometer.
+PathTable holds, per path, a polarization weight, an envelope position and a
+unit propagation phasor, and every closed form derives from it. The joint
+photon-number fluctuation correlation of the arms is the squared modulus of a
+sum over the four path pairs (path i of arm C, path j of arm T): both weights
+times the propagation phase times a slit envelope sinc(pi * separation /
+l_coh). When both within-pair separations are far below l_coh and both
+cross-pair separations far above it, only the matched pairs (1,1') and (2,2')
+survive and the pattern collapses to the two-path law
+|w11 + w22*exp(i*phi)|^2, which is 2 + 2*cos(phi) for the unpolarized mask.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import C_LIGHT, sinc
-from .geometry import ConditionWarning, SetupBasic
+from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, SetupMZ
 
 PATTERN_MODES = ("exact", "asymptotic", "monte-carlo")
 
@@ -28,12 +32,13 @@ CROSS_RATIO_MIN = 10.0
 WITHIN_RATIO_MAX = 0.1
 
 
-def b_phase(xj: float, xd: float, setup: SetupBasic, mask_quad_scale: float = 1.0) -> complex:
+def b_phase(xj, xd, setup: SetupBasic, mask_quad_scale: float = 1.0):
     """Unit-modulus propagation factor from pinhole xj to detector xd.
 
     Product of the detector-plane curvature exp(i*omega*xd^2/(2*c*f)), the
     mask-plane curvature exp(i*scale*omega*xj^2/(2*c*h)) with 1/h = 1/z + 1/f,
-    and the mixed term exp(-i*omega*xd*xj/(f*c)).
+    and the mixed term exp(-i*omega*xd*xj/(f*c)). xj and xd broadcast as
+    arrays.
 
     mask_quad_scale scales only the mask-plane quadratic term. The physical
     value is 1.0; 2.0 gives a doubled-curvature variant kept so the
@@ -41,8 +46,133 @@ def b_phase(xj: float, xd: float, setup: SetupBasic, mask_quad_scale: float = 1.
     """
     omega = setup.omega
     quad = omega / (C_LIGHT * setup.f) * xd * xd / 2.0
-    quad += mask_quad_scale * omega / (C_LIGHT * setup.h) * xj * xj / 2.0
-    return cmath.exp(1j * (quad - omega * xd * xj / (setup.f * C_LIGHT)))
+    quad = quad + mask_quad_scale * omega / (C_LIGHT * setup.h) * xj * xj / 2.0
+    return np.exp(1j * (quad - omega * xd * xj / (setup.f * C_LIGHT)))
+
+
+@dataclass(frozen=True)
+class PathTable:
+    """A setup as two arms (0 = C, 1 = T) of two optical paths each.
+
+    coefficients[..., arm, path] is the polarization weight of a path; leading
+    axes, if any, stack angle settings. The default unit weights describe the
+    unpolarized mask. offsets[arm, path] places a path: the pinhole position
+    on a mask, or behind the tilted mirrors the detector shift, 2*zbar*delta
+    for the tilted first path and 0 for the straight second one.
+    """
+
+    setup: SetupBasic | SetupMZ
+    coefficients: np.ndarray = field(default_factory=lambda: np.ones((2, 2)))
+    mask_quad_scale: float = 1.0
+
+    @property
+    def offsets(self) -> np.ndarray:
+        s = self.setup
+        if isinstance(s, SetupMZ):
+            zb2 = 2.0 * s.zbar
+            return np.array([[zb2 * s.delta_c, 0.0], [zb2 * s.delta_t, 0.0]])
+        return np.array([[s.x1, s.x2], [s.x1p, s.x2p]])
+
+    def positions(self, arm: int, x_d) -> np.ndarray:
+        """Envelope position of each path of an arm, shape (..., 2).
+
+        Pinholes stay put; behind the tilted mirrors the positions are the
+        detector positions x_d shifted by the offsets, so they move along a
+        scan.
+        """
+        if isinstance(self.setup, SetupMZ):
+            return np.asarray(x_d, dtype=float)[..., None] + self.offsets[arm]
+        return self.offsets[arm]
+
+    def envelopes(self, x_c, x_t) -> np.ndarray:
+        """Slit envelope of each path pair, indexed [..., i, j] by path i of C and j of T."""
+        separation = self.positions(0, x_c)[..., :, None] - self.positions(1, x_t)[..., None, :]
+        return sinc(np.pi * separation / self.setup.l_coh)
+
+    def amplitudes(self, arm: int, x_d) -> np.ndarray:
+        """Weight times unit propagation phasor of each path of an arm, shape (..., 2).
+
+        A mask path carries b_phase from its pinhole to x_d; a tilted-mirror
+        path the paraxial phase exp(-i*omega*p^2/(2*z*c)) at its shifted
+        detector position p.
+        """
+        setup = self.setup
+        if isinstance(setup, SetupMZ):
+            shifted = self.positions(arm, x_d)
+            phasors = np.exp(-1j * (setup.omega / (2.0 * setup.z * C_LIGHT) * shifted * shifted))
+        else:
+            x_d = np.asarray(x_d, dtype=float)[..., None]
+            phasors = b_phase(self.offsets[arm], x_d, setup, self.mask_quad_scale)
+        return self.coefficients[..., arm, :] * phasors
+
+
+def path_table(
+    setup: SetupBasic | SetupGate | SetupMZ,
+    angles: GateAngles | None = None,
+    mask_quad_scale: float = 1.0,
+    open_paths=None,
+) -> PathTable:
+    """The path table of a setup at one preparation-analyzer setting.
+
+    Polarized setups (SetupGate, SetupMZ) require angles and SetupBasic
+    refuses them. The gate's weights are the plate-analyzer amplitudes of its
+    fixed masks; the tilted-mirror variant negates the second path of each
+    arm, because its polarizing splitter routes V through that path with a
+    sign flip. open_paths, a nonempty subset of (1, 2), zeroes the weights of
+    the other paths in both arms.
+    """
+    if isinstance(setup, (SetupGate, SetupMZ)):
+        if angles is None:
+            raise ValueError(
+                f"{type(setup).__name__} is polarized: preparation and analyzer angles are required"
+            )
+        u1 = math.cos(angles.theta_c) * math.cos(angles.phi_c)
+        u2 = math.sin(angles.theta_c) * math.sin(angles.phi_c)
+        t1 = math.cos(angles.theta_t - angles.phi_t)
+        t2 = math.sin(angles.theta_t + angles.phi_t)
+        sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
+        coefficients = np.array([[u1, sign * u2], [t1, sign * t2]])
+    elif angles is not None:
+        raise ValueError("SetupBasic is unpolarized: angles must be None")
+    else:
+        coefficients = np.ones((2, 2))
+    if open_paths is not None:
+        open_paths = tuple(open_paths)
+        if not open_paths or any(p not in (1, 2) for p in open_paths):
+            raise ValueError(f"open_paths must be a nonempty subset of (1, 2), got {open_paths}")
+        coefficients = coefficients * [p in open_paths for p in (1, 2)]
+    return PathTable(setup, coefficients, mask_quad_scale)
+
+
+def _envelope_power(envelopes: np.ndarray):
+    return (np.abs(envelopes).sum(axis=(-2, -1)) / 2.0) ** 2
+
+
+def pair_sum(envelopes: np.ndarray, amp_c: np.ndarray, amp_t: np.ndarray):
+    """The pair-sum kernel |sum_ij conj(amp_c_i) amp_t_j env_ij|^2 / (sum_ij |env_ij| / 2)^2.
+
+    Sums run over the path axes (the last two of envelopes, the last of the
+    amplitudes) and broadcast over the rest. The normalization makes the
+    two-path regime peak at 4 for unit weights (both matched envelopes near
+    1, cross envelopes near 0) and keeps the value at 4 for a fully coherent
+    configuration where all four envelopes reach 1 in phase. Where every
+    envelope vanishes there is no correlation at all, and the value is 0.
+    """
+    total = (amp_c.conj()[..., :, None] * amp_t[..., None, :] * envelopes).sum(axis=(-2, -1))
+    power = _envelope_power(envelopes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(power > 0.0, np.abs(total) ** 2 / power, 0.0)
+
+
+def envelope_power(setup: SetupBasic | SetupMZ, x_c, x_t):
+    """Denominator (sum_ij |env_ij| / 2)^2 of the exact-mode correlation.
+
+    A deterministic geometry factor: raw covariances divided by it estimate
+    the same normalized quantity the closed forms report. x_c and x_t may be
+    arrays. Constant for a pinhole mask; behind tilted mirrors it moves with
+    the detectors.
+    """
+    return _envelope_power(PathTable(setup).envelopes(x_c, x_t))
 
 
 @dataclass(frozen=True)
@@ -51,7 +181,7 @@ class PairContribution:
 
     i indexes the arm-C pinhole (1 or 2), j the arm-T pinhole (1 or 2,
     meaning 1' or 2'). envelope is the slit factor normalized to peak 1,
-    phase the raw unwrapped propagation phase, and value the complex
+    phase the propagation phase wrapped to (-pi, pi], and value the complex
     contribution envelope * exp(i*phase).
     """
 
@@ -70,31 +200,22 @@ def g1_pair(
     x_t: float,
     mask_quad_scale: float = 1.0,
 ) -> PairContribution:
-    """Contribution of the pinhole pair (i in arm C, j' in arm T).
+    """Contribution of the pinhole pair (i in arm C, j' in arm T), read off the path table.
 
     value = conj(b_phase(x_i, x_c)) * b_phase(x_j', x_t) * sinc envelope,
     with the envelope normalized so its peak is 1.
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"pinhole indices must be 1 or 2, got i={i}, j={j}")
-    xi = setup.x1 if i == 1 else setup.x2
-    xj = setup.x1p if j == 1 else setup.x2p
-    envelope = float(sinc(math.pi * (xi - xj) / setup.l_coh))
-    value = (
-        b_phase(xi, x_c, setup, mask_quad_scale).conjugate()
-        * b_phase(xj, x_t, setup, mask_quad_scale)
-        * envelope
+    table = PathTable(setup, mask_quad_scale=mask_quad_scale)
+    envelope = float(table.envelopes(x_c, x_t)[i - 1, j - 1])
+    unit = complex(table.amplitudes(0, x_c)[i - 1].conjugate() * table.amplitudes(1, x_t)[j - 1])
+    return PairContribution(
+        i=i, j=j, envelope=envelope, phase=cmath.phase(unit), value=unit * envelope
     )
-    omega = setup.omega
-    quad = omega / (C_LIGHT * setup.f) * (x_t * x_t - x_c * x_c) / 2.0
-    quad += mask_quad_scale * omega / (C_LIGHT * setup.h) * (xj * xj - xi * xi) / 2.0
-    phase = quad - omega * (x_t * xj - x_c * xi) / (setup.f * C_LIGHT)
-    return PairContribution(i=i, j=j, envelope=envelope, phase=phase, value=value)
 
 
-def phase_phi_basic(
-    setup: SetupBasic, x_c: float, x_t: float, mask_quad_scale: float = 1.0
-) -> float:
+def phase_phi_basic(setup: SetupBasic, x_c, x_t, mask_quad_scale: float = 1.0):
     """Relative phase between the surviving pairs (2,2') and (1,1').
 
     phi = omega/(2*c*h) * (x1^2 + x2'^2 - x1'^2 - x2^2)
@@ -115,6 +236,22 @@ def phase_phi_basic(
         * (x_c * setup.x2 - x_t * setup.x2p - x_c * setup.x1 + x_t * setup.x1p)
     )
     return quad + lin
+
+
+def mz_phase(setup: SetupMZ, x_c, x_t):
+    """Interference phase of the tilted-mirror gate.
+
+    phi = (2*omega/(c*z)) * (zbar^2*(delta_c^2 - delta_t^2)
+                             + zbar*(x_c*delta_c - x_t*delta_t))
+    """
+    zb = setup.zbar
+    return (
+        2.0
+        * setup.omega
+        / (C_LIGHT * setup.z)
+        * (zb * zb * (setup.delta_c**2 - setup.delta_t**2)
+           + zb * (x_c * setup.delta_c - x_t * setup.delta_t))
+    )
 
 
 def separation_ratios(setup: SetupBasic) -> dict[str, float]:
@@ -145,35 +282,73 @@ def check_pair_conditions(setup: SetupBasic) -> list[str]:
     return problems
 
 
-def warn_pair_conditions(setup: SetupBasic) -> None:
-    for problem in check_pair_conditions(setup):
+def mz_condition_margins(setup: SetupMZ, x_c, x_t) -> dict:
+    """Ratios measuring how well the two-path regime holds.
+
+    tilt_c and tilt_t should be far above 1 (paths separated beyond l_coh),
+    tilt_diff and detector_sep far below 1, and phase small in radians for
+    the CNOT point. Detector positions may be arrays.
+    """
+    l = setup.l_coh
+    zb2 = 2.0 * setup.zbar
+    return {
+        "tilt_c": abs(setup.delta_c) * zb2 / l,
+        "tilt_t": abs(setup.delta_t) * zb2 / l,
+        "tilt_diff": abs(setup.delta_c - setup.delta_t) * zb2 / l,
+        "detector_sep": abs(x_c - x_t) / l,
+        "phase": abs(mz_phase(setup, x_c, x_t)),
+    }
+
+
+def check_mz_conditions(setup: SetupMZ, x_c, x_t) -> list[str]:
+    """Human-readable violations of the tilted-mirror two-path regime, if any.
+
+    Over arrays of detector positions each margin reports its worst value.
+    """
+    margins = mz_condition_margins(setup, x_c, x_t)
+    problems = []
+    for key in ("tilt_c", "tilt_t"):
+        worst = np.min(margins[key], initial=np.inf)
+        if worst < CROSS_RATIO_MIN:
+            problems.append(f"{key} ratio {worst:.3g} is below {CROSS_RATIO_MIN}")
+    for key in ("tilt_diff", "detector_sep"):
+        worst = np.max(margins[key], initial=0.0)
+        if worst > WITHIN_RATIO_MAX:
+            problems.append(f"{key} ratio {worst:.3g} is above {WITHIN_RATIO_MAX}")
+    return problems
+
+
+def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
+    """Closed-form correlation of a path table at detector positions x_c, x_t (arrays).
+
+    'exact' is the pair sum over all four path pairs. 'asymptotic' keeps the
+    matched pairs only, with unit envelopes: |w11 + w22*exp(i*phi)|^2 at
+    phase_phi_basic for masks and mz_phase behind tilted mirrors, which is
+    p_controlled_u for the polarized setups and 2 + 2*cos(phi) for the plain
+    mask. Asymptotic mode warns once per call, with each margin's worst value
+    over the positions, when the geometry does not support it.
+    """
+    if mode == "exact":
+        return pair_sum(
+            table.envelopes(x_c, x_t), table.amplitudes(0, x_c), table.amplitudes(1, x_t)
+        )
+    if mode != "asymptotic":
+        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
+    setup = table.setup
+    if isinstance(setup, SetupMZ):
+        problems = check_mz_conditions(setup, x_c, x_t)
+        phi = mz_phase(setup, x_c, x_t)
+    else:
+        problems = check_pair_conditions(setup)
+        phi = phase_phi_basic(setup, x_c, x_t, table.mask_quad_scale)
+    for problem in problems:
         warnings.warn(
             f"asymptotic two-path form may be inaccurate: {problem}",
             ConditionWarning,
             stacklevel=3,
         )
-
-
-def four_pair_sum(
-    values: dict[tuple[int, int], complex],
-    envelopes: dict[tuple[int, int], float],
-) -> float:
-    """|sum of weighted pair terms|^2 normalized by (sum of |envelopes| / 2)^2.
-
-    The normalization makes the two-path regime peak at 4 for unit weights
-    (both surviving envelopes near 1, cross envelopes near 0) and keeps the
-    value at 4 for a fully coherent configuration where all four envelopes
-    reach 1 in phase. A configuration with all envelopes at a sinc zero has
-    no correlation at all and returns 0.
-    """
-    env_sum = sum(abs(e) for e in envelopes.values())
-    if env_sum < 1e-300:
-        return 0.0
-    total = sum(values.values())
-    return abs(total) ** 2 / (env_sum / 2.0) ** 2
-
-
-_PAIRS = ((1, 1), (2, 2), (1, 2), (2, 1))
+    weights = table.coefficients[..., 0, :] * table.coefficients[..., 1, :]
+    return np.abs(weights[..., 0] + weights[..., 1] * np.exp(1j * phi)) ** 2
 
 
 def dn_corr_basic(
@@ -183,24 +358,14 @@ def dn_corr_basic(
     mode: str = "exact",
     mask_quad_scale: float = 1.0,
 ) -> float:
-    """Normalized fluctuation correlation of the two detectors.
+    """Normalized fluctuation correlation of the two detectors at one point.
 
     mode 'exact' sums all four pair contributions; mode 'asymptotic' returns
     the two-path law |1 + exp(i*phi)|^2 and warns if the geometry does not
     support it. Both modes peak at 4.
     """
-    if mode == "asymptotic":
-        warn_pair_conditions(setup)
-        return 2.0 + 2.0 * math.cos(phase_phi_basic(setup, x_c, x_t, mask_quad_scale))
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    values: dict[tuple[int, int], complex] = {}
-    envelopes: dict[tuple[int, int], float] = {}
-    for i, j in _PAIRS:
-        pair = g1_pair(setup, i, j, x_c, x_t, mask_quad_scale)
-        values[(i, j)] = pair.value
-        envelopes[(i, j)] = pair.envelope
-    return four_pair_sum(values, envelopes)
+    table = PathTable(setup, mask_quad_scale=mask_quad_scale)
+    return float(closed_form(table, x_c, x_t, mode))
 
 
 def fringe_period_xc(setup: SetupBasic) -> float:
@@ -269,14 +434,20 @@ __all__ = [
     "WITHIN_RATIO_MAX",
     "CorrelationPattern",
     "PairContribution",
+    "PathTable",
     "b_phase",
+    "check_mz_conditions",
     "check_pair_conditions",
+    "closed_form",
     "dn_corr_basic",
-    "four_pair_sum",
+    "envelope_power",
     "fringe_period_xc",
     "g1_pair",
+    "mz_condition_margins",
+    "mz_phase",
+    "pair_sum",
+    "path_table",
     "pattern_visibility",
     "phase_phi_basic",
     "separation_ratios",
-    "warn_pair_conditions",
 ]

@@ -21,17 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import CorrelationPattern, check_pair_conditions, separation_ratios
-from .gate import (
-    BASIS_LABELS,
-    TruthTable,
-    basis_settings,
+from .analytic import (
+    CorrelationPattern,
     check_mz_conditions,
-    cnot_condition_margin,
-    dn_corr_gate,
-    dn_corr_mz,
+    check_pair_conditions,
+    closed_form,
     mz_condition_margins,
+    separation_ratios,
 )
+from .gate import BASIS_LABELS, TruthTable, basis_table, cnot_condition_margin
+# Not called here: perfbench/tracer.py spans the one-point gate closed forms at
+# this lookup site, and its per-layer report needs the names to exist.
+from .gate import dn_corr_gate, dn_corr_mz  # noqa: F401
 from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, SetupMZ
 from .montecarlo import (
     MIN_EMITTERS,
@@ -41,6 +42,7 @@ from .montecarlo import (
     compare_patterns,
     estimate_dn_corr,
     estimate_truth_table,
+    worker_count,
 )
 from .patterns import SCAN_AXES, evaluate_pattern, make_grid
 
@@ -431,11 +433,10 @@ def emit(report: RunReport, out_dir) -> list[Path]:
 
 
 def _closed_form_table(setup, x_c: float, x_t: float, mode: str) -> TruthTable:
-    dn_corr = dn_corr_mz if isinstance(setup, SetupMZ) else dn_corr_gate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        values = [dn_corr(setup, angles, x_c, x_t, mode) for angles in basis_settings()]
-    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=np.reshape(values, (4, 4)))
+        values = closed_form(basis_table(setup), x_c, x_t, mode)
+    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=values.reshape(4, 4))
 
 
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
@@ -450,6 +451,8 @@ def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str)
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = parse_config(args.config)
+    # A malformed thread count is a configuration error: fail before any compute.
+    worker_count()
     if getattr(args, "mode", None):
         config = replace(config, mode=args.mode)
     if getattr(args, "seed", None) is not None:

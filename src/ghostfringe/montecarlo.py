@@ -21,19 +21,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import C_LIGHT
 from .geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
-from .analytic import CorrelationPattern
-from .gate import (
-    BASIS_LABELS,
-    TruthTable,
-    _arm_coefficients,
-    basis_settings,
-    envelope_power,
-)
+from .analytic import CorrelationPattern, PathTable, path_table
+from .gate import BASIS_LABELS, TruthTable, basis_table, envelope_power
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -78,10 +72,13 @@ class SourceModel:
                 f"mean_photon_number must be positive, got {self.mean_photon_number}"
             )
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
+        """Emitter positions, computed once per source and read-only."""
         step = 2.0 * self.a / self.n_emitters
-        return -self.a + step * (np.arange(self.n_emitters) + 0.5)
+        positions = -self.a + step * (np.arange(self.n_emitters) + 0.5)
+        positions.flags.writeable = False
+        return positions
 
 
 @dataclass(frozen=True)
@@ -114,89 +111,38 @@ def sample_realization(source: SourceModel, seed: int, index: int) -> Realizatio
 # ---------------------------------------------------------------------------
 
 
-def _require_angles(setup, angles) -> GateAngles:
-    if angles is None:
-        raise ValueError(
-            f"{type(setup).__name__} is polarized: preparation and analyzer angles are required"
-        )
-    return angles
-
-
-def _mask_path_terms(setup: SetupBasic, arm: str, angles: GateAngles | None):
-    """(coefficient, pinhole position) per open path of a masked arm."""
-    if arm == "C":
-        positions = (setup.x1, setup.x2)
-    elif arm == "T":
-        positions = (setup.x1p, setup.x2p)
-    else:
-        raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
-    if isinstance(setup, SetupGate):
-        u1, u2, t1, t2 = _arm_coefficients(_require_angles(setup, angles))
-        coeffs = (u1, u2) if arm == "C" else (t1, t2)
-    else:
-        if angles is not None:
-            raise ValueError("SetupBasic is unpolarized: angles must be None")
-        coeffs = (1.0, 1.0)
-    return list(zip(coeffs, positions))
-
-
-def _mz_path_terms(setup: SetupMZ, arm: str, angles: GateAngles | None):
-    """(coefficient, detector shift) per path; the tilted path comes first.
-
-    The polarizing splitter routes V through the second path with a sign
-    flip, hence the negative second coefficient.
-    """
-    u1, u2, t1, t2 = _arm_coefficients(_require_angles(setup, angles))
-    if arm == "C":
-        shift, first, second = 2.0 * setup.zbar * setup.delta_c, u1, u2
-    elif arm == "T":
-        shift, first, second = 2.0 * setup.zbar * setup.delta_t, t1, t2
-    else:
-        raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
-    return [(first, shift), (-second, 0.0)]
-
-
-def _select_paths(terms, open_paths):
-    if open_paths is None:
-        return terms
-    open_paths = tuple(open_paths)
-    if not open_paths or any(p not in (1, 2) for p in open_paths):
-        raise ValueError(f"open_paths must be a nonempty subset of (1, 2), got {open_paths}")
-    return [terms[p - 1] for p in open_paths]
+def _paraxial(wavelength: float, distance: float, x_from, x_to):
+    """Paraxial propagator exp(i*k*(x_from - x_to)^2 / (2*distance)), k = 2*pi/wavelength."""
+    k = 2.0 * math.pi / wavelength
+    return np.exp(1j * k / (2.0 * distance) * (x_from - x_to) ** 2)
 
 
 def _kernel_matrix(
-    source: SourceModel,
-    setup: SetupBasic | SetupMZ,
-    arm: str,
-    detector_positions,
-    angles: GateAngles | None,
-    open_paths=None,
+    source: SourceModel, table: PathTable, arm: str, detector_positions
 ) -> np.ndarray:
-    """Propagation matrix K with K[m, g] = sum over open paths of the arm.
+    """Propagation matrix K, the sum over the arm's paths of weight times per-path kernel.
 
-    Mask geometries use exp(i*k*(x_m - x_p)^2/(2z)) * exp(i*k*(x_p - x_d)^2/(2f));
-    the tilted-mirror geometry uses exp(i*k*(x_m - x_d - shift)^2/(2z)) with the
-    per-path detector shift. Multiplying emitter amplitudes by K gives the arm
-    field at each detector position.
+    A mask path propagates emitter -> pinhole over z and pinhole -> detector
+    over f; a tilted-mirror path propagates emitter -> shifted detector
+    position over z. Multiplying emitter amplitudes by K gives the arm field
+    at each detector position. Weights with a leading settings axis (see
+    basis_table) at one detector position give one column per setting.
     """
+    if arm not in ("C", "T"):
+        raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
+    index = ("C", "T").index(arm)
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
-    k = 2.0 * math.pi / setup.wavelength
-    if isinstance(setup, SetupMZ):
-        terms = _select_paths(_mz_path_terms(setup, arm, angles), open_paths)
-    else:
-        terms = _select_paths(_mask_path_terms(setup, arm, angles), open_paths)
+    setup = table.setup
     xm = source.positions
-    out = np.zeros((source.n_emitters, xs.size), dtype=complex)
-    if isinstance(setup, SetupMZ):
-        for coeff, shift in terms:
-            dx = xm[:, None] - (xs[None, :] + shift)
-            out += coeff * np.exp(1j * k / (2.0 * setup.z) * dx * dx)
-    else:
-        for coeff, xp in terms:
-            source_leg = np.exp(1j * k / (2.0 * setup.z) * (xm - xp) ** 2)
-            detector_leg = np.exp(1j * k / (2.0 * setup.f) * (xp - xs) ** 2)
-            out += coeff * source_leg[:, None] * detector_leg[None, :]
+    out = 0.0
+    for path, offset in enumerate(table.offsets[index]):
+        if isinstance(setup, SetupMZ):
+            kernel = _paraxial(setup.wavelength, setup.z, xm[:, None], xs[None, :] + offset)
+        else:
+            source_leg = _paraxial(setup.wavelength, setup.z, xm, offset)
+            detector_leg = _paraxial(setup.wavelength, setup.f, offset, xs)
+            kernel = source_leg[:, None] * detector_leg[None, :]
+        out = out + table.coefficients[..., index, path] * kernel
     return out
 
 
@@ -215,7 +161,8 @@ def field_at_detector(
     SetupBasic they must be omitted. open_paths restricts which of the two
     paths of the arm are open, e.g. (1,) to close the second pinhole.
     """
-    kernel = _kernel_matrix(realization.source, setup, arm, [x_d], angles, open_paths)
+    table = path_table(setup, angles, open_paths=open_paths)
+    kernel = _kernel_matrix(realization.source, table, arm, [x_d])
     return complex(realization.amplitudes @ kernel[:, 0])
 
 
@@ -225,9 +172,7 @@ def free_field(realization: Realization, setup, x_d: float) -> complex:
     Plain paraxial propagation over the source-to-mask distance z of the
     setup; the baseline every structured geometry is compared against.
     """
-    k = 2.0 * math.pi / setup.wavelength
-    xm = realization.source.positions
-    kernel = np.exp(1j * k / (2.0 * setup.z) * (xm - x_d) ** 2)
+    kernel = _paraxial(setup.wavelength, setup.z, realization.source.positions, x_d)
     return complex(realization.amplitudes @ kernel)
 
 
@@ -260,9 +205,10 @@ def _batch_sizes(n: int, n_batches: int) -> list[int]:
     return [base + (1 if b < rem else 0) for b in range(n_batches)]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
+def worker_count() -> int:
+    """Ensemble worker threads from GHOSTFRINGE_THREADS; unset or empty means 1."""
+    raw = os.environ.get(THREADS_ENV_VAR, "")
+    if not raw:
         return 1
     try:
         return max(1, int(raw))
@@ -319,7 +265,7 @@ def _ensemble_moments(source, seed, n_realizations, n_batches, kernel_c, kernel_
         for start, count in zip(starts, sizes)
         if count > 0
     ]
-    workers = _worker_count()
+    workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda args: _batch_moments(*args), jobs))
@@ -367,12 +313,13 @@ def estimate_dn_corr(
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel_c = _kernel_matrix(source, setup, "C", grid[:, 0], angles)
-    kernel_t = _kernel_matrix(source, setup, "T", grid[:, 1], angles)
+    table = path_table(setup, angles)
+    kernel_c = _kernel_matrix(source, table, "C", grid[:, 0])
+    kernel_t = _kernel_matrix(source, table, "T", grid[:, 1])
     _, covariance, stderr = _ensemble_moments(
         source, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
-    weight = np.array([envelope_power(setup, x_c, x_t) for x_c, x_t in grid])
+    weight = envelope_power(setup, grid[:, 0], grid[:, 1])
     weighted = covariance / weight
     weighted_err = stderr / weight
     scale = float(weighted.max())
@@ -411,7 +358,7 @@ def estimate_mean_intensity(
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel = _kernel_matrix(source, setup, arm, xs, angles)
+    kernel = _kernel_matrix(source, path_table(setup, angles), arm, xs)
     mean, var, _ = _ensemble_moments(source, seed, n_realizations, 10, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
@@ -435,13 +382,9 @@ def estimate_truth_table(
     the scale the truth table is about.
     """
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    settings = basis_settings()
-    kernel_c = np.hstack(
-        [_kernel_matrix(source, setup, "C", [x_c], angles) for angles in settings]
-    )
-    kernel_t = np.hstack(
-        [_kernel_matrix(source, setup, "T", [x_t], angles) for angles in settings]
-    )
+    table = basis_table(setup)
+    kernel_c = _kernel_matrix(source, table, "C", [x_c])
+    kernel_t = _kernel_matrix(source, table, "T", [x_t])
     _, covariance, stderr = _ensemble_moments(
         source, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
@@ -510,4 +453,5 @@ __all__ = [
     "field_at_detector",
     "free_field",
     "sample_realization",
+    "worker_count",
 ]

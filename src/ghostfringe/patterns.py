@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import CorrelationPattern, dn_corr_basic
-from .gate import dn_corr_gate, dn_corr_mz
+from .analytic import CorrelationPattern, closed_form, path_table
 from .geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 
 SCAN_AXES = ("x_C", "x_T", "diagonal")
@@ -41,21 +40,15 @@ def evaluate_pattern(
     angles: GateAngles | None = None,
     mask_quad_scale: float = 1.0,
 ) -> CorrelationPattern:
-    """Closed-form correlation pattern over a grid, in 'exact' or 'asymptotic' mode."""
+    """Closed-form correlation pattern over a grid, in 'exact' or 'asymptotic' mode.
+
+    The whole grid is one evaluation of the setup's path table. SetupGate and
+    SetupMZ need GateAngles; SetupBasic takes none.
+    """
     grid = np.asarray(grid, dtype=float)
-    if isinstance(setup, SetupMZ):
-        if angles is None:
-            raise ValueError("SetupMZ patterns need GateAngles")
-        values = [dn_corr_mz(setup, angles, xc, xt, mode) for xc, xt in grid]
-    elif isinstance(setup, SetupGate):
-        if angles is None:
-            raise ValueError("SetupGate patterns need GateAngles")
-        values = [
-            dn_corr_gate(setup, angles, xc, xt, mode, mask_quad_scale) for xc, xt in grid
-        ]
-    else:
-        values = [dn_corr_basic(setup, xc, xt, mode, mask_quad_scale) for xc, xt in grid]
-    return CorrelationPattern(grid=grid, values=np.asarray(values), mode=mode)
+    table = path_table(setup, angles, mask_quad_scale)
+    values = closed_form(table, grid[:, 0], grid[:, 1], mode)
+    return CorrelationPattern(grid=grid, values=values, mode=mode)
 
 
 __all__ = ["SCAN_AXES", "evaluate_pattern", "make_grid"]

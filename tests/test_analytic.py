@@ -1,4 +1,4 @@
-"""Closed-form correlation patterns for the two-pinhole geometry."""
+"""Closed forms: the path table, its pair-sum kernel and the two-pinhole geometry."""
 
 import cmath
 import math
@@ -13,17 +13,27 @@ from ghostfringe.analytic import (
     CROSS_RATIO_MIN,
     WITHIN_RATIO_MAX,
     CorrelationPattern,
+    PathTable,
     b_phase,
     check_pair_conditions,
     dn_corr_basic,
-    four_pair_sum,
     fringe_period_xc,
     g1_pair,
+    pair_sum,
     pattern_visibility,
     phase_phi_basic,
     separation_ratios,
 )
-from ghostfringe.geometry import ConditionWarning, ParaxialWarning, SetupBasic
+from ghostfringe import analytic, gate, patterns
+from ghostfringe.core import C_LIGHT, sinc
+from ghostfringe.geometry import (
+    ConditionWarning,
+    GateAngles,
+    ParaxialWarning,
+    SetupBasic,
+    SetupGate,
+    SetupMZ,
+)
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
 
@@ -239,15 +249,12 @@ def test_exact_symmetric_under_arm_swap(setup, x_c, x_t):
 @settings(max_examples=100)
 def test_arm_phase_gauge_invariance(setup, x_c, x_t, gamma_c, gamma_t):
     """A common phase on all paths of an arm cancels in the correlation."""
-    values = {}
-    envelopes = {}
-    gauge = cmath.exp(1j * (gamma_t - gamma_c))
-    for i, j in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        pair = g1_pair(setup, i, j, x_c, x_t)
-        values[(i, j)] = gauge * pair.value
-        envelopes[(i, j)] = pair.envelope
+    table = PathTable(setup)
+    envelopes = table.envelopes(x_c, x_t)
+    amp_c = cmath.exp(1j * gamma_c) * table.amplitudes(0, x_c)
+    amp_t = cmath.exp(1j * gamma_t) * table.amplitudes(1, x_t)
     direct = dn_corr_basic(setup, x_c, x_t, mode="exact")
-    assert four_pair_sum(values, envelopes) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    assert pair_sum(envelopes, amp_c, amp_t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_fully_coherent_point_reaches_four():
@@ -256,11 +263,10 @@ def test_fully_coherent_point_reaches_four():
     assert dn_corr_basic(setup, 0.0, 0.0, mode="exact") == pytest.approx(4.0, rel=1e-12)
 
 
-def test_four_pair_sum_with_no_coherence_is_zero():
-    pairs = ((1, 1), (2, 2), (1, 2), (2, 1))
-    values = {pair: 0.0 + 0.0j for pair in pairs}
-    envelopes = {pair: 0.0 for pair in pairs}
-    assert four_pair_sum(values, envelopes) == 0.0
+def test_pair_sum_with_no_coherence_is_zero():
+    unit = np.ones(2, dtype=complex)
+    assert pair_sum(np.zeros((2, 2)), unit, unit) == 0.0
+    assert np.array_equal(pair_sum(np.zeros((3, 2, 2)), unit, unit), np.zeros(3))
 
 
 @given(
@@ -399,3 +405,100 @@ def test_evaluate_pattern_modes_match_pointwise():
     pattern = evaluate_pattern(setup, grid, "exact")
     for (x_c, x_t), value in zip(pattern.grid, pattern.values):
         assert value == dn_corr_basic(setup, x_c, x_t, mode="exact")
+
+
+# ---------------------------------------------------------------------------
+# Whole-grid kernel against an independent per-point oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_ANGLES = GateAngles(0.4, 0.9, 0.7, 0.2)
+# Cross separations of 2.4 to 3 l_coh and within-pair offsets of 0.2 and 0.6 l_coh,
+# so every pair contributes and exact differs visibly from asymptotic.
+ORACLE_MASK = dict(
+    a=0.5e-3, wavelength=500e-9, z=1.0, f=1.0, x1=-6e-4, x2=6e-4, x1p=-5e-4, x2p=9e-4
+)
+ORACLE_MZ = SetupMZ(a=0.5e-3, wavelength=500e-9, z=1.0, zbar=0.2, delta_c=4e-3, delta_t=3e-3)
+
+
+def oracle_weights(setup):
+    """Hand-written path weights (arm C, arm T), tilted-mirror second paths negated."""
+    if not isinstance(setup, (SetupGate, SetupMZ)):
+        return (1.0, 1.0), (1.0, 1.0)
+    pc, pt, tc, tt = (ORACLE_ANGLES.phi_c, ORACLE_ANGLES.phi_t,
+                      ORACLE_ANGLES.theta_c, ORACLE_ANGLES.theta_t)
+    sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
+    return ((math.cos(tc) * math.cos(pc), sign * math.sin(tc) * math.sin(pc)),
+            (math.cos(tt - pt), sign * math.sin(tt + pt)))
+
+
+def oracle_point(setup, x_c, x_t, mode):
+    """One grid point, summed pair by pair from b_phase, sinc and oracle_weights."""
+    if isinstance(setup, SetupMZ):
+        zb2 = 2.0 * setup.zbar
+        pos_c = (x_c + zb2 * setup.delta_c, x_c)
+        pos_t = (x_t + zb2 * setup.delta_t, x_t)
+        scale = setup.omega / (2.0 * setup.z * C_LIGHT)
+        ph_c = [cmath.exp(-1j * scale * p * p) for p in pos_c]
+        ph_t = [cmath.exp(-1j * scale * p * p) for p in pos_t]
+    else:
+        pos_c, pos_t = (setup.x1, setup.x2), (setup.x1p, setup.x2p)
+        ph_c = [complex(b_phase(p, x_c, setup)) for p in pos_c]
+        ph_t = [complex(b_phase(p, x_t, setup)) for p in pos_t]
+    w_c, w_t = oracle_weights(setup)
+    total, env_sum = 0j, 0.0
+    for i in range(2):
+        for j in range(2):
+            term = w_c[i] * w_t[j] * ph_c[i].conjugate() * ph_t[j]
+            env = sinc(math.pi * (pos_c[i] - pos_t[j]) / setup.l_coh)
+            if mode == "asymptotic":
+                total += term if i == j else 0.0  # matched pairs at unit envelope
+            else:
+                total += term * env
+                env_sum += abs(env)
+    return abs(total) ** 2 / (1.0 if mode == "asymptotic" else (env_sum / 2.0) ** 2)
+
+
+@pytest.mark.parametrize(
+    "setup, angles",
+    [(SetupBasic(**ORACLE_MASK), None), (SetupGate(**ORACLE_MASK), ORACLE_ANGLES),
+     (ORACLE_MZ, ORACLE_ANGLES)],
+    ids=["basic", "gate", "mz"],
+)
+def test_evaluate_pattern_matches_per_point_oracle(setup, angles):
+    for axis in ("x_C", "x_T", "diagonal"):
+        grid = make_grid(axis, -1e-4, 1e-4, 1e-5, fixed=2e-5)
+        for mode in ("exact", "asymptotic"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditionWarning)
+                values = evaluate_pattern(setup, grid, mode, angles=angles).values
+            want = [oracle_point(setup, x_c, x_t, mode) for x_c, x_t in grid]
+            assert np.max(np.abs(values - want)) <= 1e-12, (axis, mode)
+        assert np.ptp(values) > 0.01, axis  # the oracle is checked on a varying pattern
+
+
+def test_evaluate_pattern_on_empty_grid():
+    for setup, angles in ((SetupBasic(**ORACLE_MASK), None), (ORACLE_MZ, ORACLE_ANGLES)):
+        for mode in ("exact", "asymptotic"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditionWarning)
+                pattern = evaluate_pattern(setup, np.zeros((0, 2)), mode, angles=angles)
+            assert pattern.values.shape == (0,)
+
+
+def test_evaluate_pattern_calls_no_per_point_closed_form(monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("evaluate_pattern fell back to a per-point closed form")
+
+    for module in (analytic, gate, patterns):
+        for name in ("dn_corr_basic", "dn_corr_gate", "dn_corr_mz", "g1_pair"):
+            monkeypatch.setattr(module, name, per_point, raising=False)
+    grid = make_grid("diagonal", -1e-4, 1e-4, 2e-6)
+    assert grid.shape == (101, 2)
+    for setup, angles in ((SetupBasic(**ORACLE_MASK), None),
+                          (SetupGate(**ORACLE_MASK), ORACLE_ANGLES),
+                          (ORACLE_MZ, ORACLE_ANGLES)):
+        for mode in ("exact", "asymptotic"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditionWarning)
+                pattern = evaluate_pattern(setup, grid, mode, angles=angles)
+            assert pattern.values.shape == (101,)

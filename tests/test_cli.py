@@ -275,6 +275,31 @@ def test_scan_deterministic_across_threads(tmp_path, monkeypatch):
     assert (first / "scan_mc.csv").read_bytes() == (second / "scan_mc.csv").read_bytes()
 
 
+def test_empty_thread_count_means_unset(tmp_path, monkeypatch):
+    config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
+    monkeypatch.delenv("GHOSTFRINGE_THREADS", raising=False)
+    unset = tmp_path / "unset"
+    main(["scan", "--config", config, "--mode", "mc", "--out", str(unset)])
+    monkeypatch.setenv("GHOSTFRINGE_THREADS", "")
+    empty = tmp_path / "empty"
+    assert main(["scan", "--config", config, "--mode", "mc", "--out", str(empty)]) == 0
+    assert (unset / "scan_mc.csv").read_bytes() == (empty / "scan_mc.csv").read_bytes()
+
+
+def test_malformed_thread_count_rejected_before_compute(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GHOSTFRINGE_THREADS", "two")
+    runs = (
+        ("scan", BASIC_SETUP + SCAN_SMALL + MC_SMALL),
+        ("truth-table", GATE_SETUP + MC_SMALL),
+    )
+    for command, text in runs:
+        config = write_config(tmp_path, text + "\n[run]\nmode = all\n", f"{command}.ini")
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert not out.exists(), f"{command} wrote output before rejecting the thread count"
+        assert "GHOSTFRINGE_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+
+
 def test_seed_override_changes_ensemble(tmp_path):
     config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
     first = tmp_path / "first"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostfringe.analytic import phase_phi_basic
+from ghostfringe.analytic import PathTable, path_table, phase_phi_basic
 from ghostfringe.gate import (
     BASIS_LABELS,
     TruthTable,
@@ -18,17 +18,14 @@ from ghostfringe.gate import (
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,
-    gate_pair_coefficients,
     ideal_cnot_table,
     mz_condition_margins,
-    mz_effective_positions,
-    mz_pair_coefficients,
-    mz_pair_envelopes,
     mz_phase,
     p_cnot,
     p_controlled_u,
 )
 from ghostfringe.geometry import ConditionWarning, GateAngles, SetupGate, SetupMZ
+from ghostfringe.patterns import evaluate_pattern, make_grid
 
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 phase = st.floats(min_value=-10.0, max_value=10.0)
@@ -164,13 +161,19 @@ def test_basis_control_gives_rank_one_output_table(phi_c):
 # ---------------------------------------------------------------------------
 
 
+def pair_weights(setup, angles):
+    """Weight of each path pair (i, j): the product of its two path weights."""
+    c = path_table(setup, angles).coefficients
+    return {(i, j): c[0, i - 1] * c[1, j - 1] for i in (1, 2) for j in (1, 2)}
+
+
 def test_gate_pair_coefficients_all_products():
     angles = GateAngles(0.3, 0.4, 0.2, 0.1)
     u1 = math.cos(0.2) * math.cos(0.3)
     u2 = math.sin(0.2) * math.sin(0.3)
     t1 = math.cos(0.1 - 0.4)
     t2 = math.sin(0.1 + 0.4)
-    coeffs = gate_pair_coefficients(angles)
+    coeffs = pair_weights(gate_setup(), angles)
     assert coeffs[(1, 1)] == pytest.approx(u1 * t1, rel=1e-15)
     assert coeffs[(2, 2)] == pytest.approx(u2 * t2, rel=1e-15)
     assert coeffs[(1, 2)] == pytest.approx(u1 * t2, rel=1e-15)
@@ -179,8 +182,8 @@ def test_gate_pair_coefficients_all_products():
 
 def test_mz_pair_coefficients_cross_signs():
     angles = GateAngles(0.3, 0.4, 0.2, 0.1)
-    gate = gate_pair_coefficients(angles)
-    mz = mz_pair_coefficients(angles)
+    gate = pair_weights(gate_setup(), angles)
+    mz = pair_weights(mz_setup(), angles)
     assert mz[(1, 1)] == gate[(1, 1)]
     assert mz[(2, 2)] == gate[(2, 2)]
     assert mz[(1, 2)] == -gate[(1, 2)]
@@ -271,11 +274,13 @@ def test_mz_phase_equals_shifted_quadratic_difference(x_c, x_t, delta_c, delta_t
 
 def test_mz_effective_positions_tilted_first():
     setup = mz_setup()
-    positions = mz_effective_positions(setup, 1e-5, -1e-5)
-    assert positions["C"][0] == pytest.approx(1e-5 + 2.0 * setup.zbar * setup.delta_c)
-    assert positions["C"][1] == 1e-5
-    assert positions["T"][0] == pytest.approx(-1e-5 + 2.0 * setup.zbar * setup.delta_t)
-    assert positions["T"][1] == -1e-5
+    table = PathTable(setup)
+    positions_c = table.positions(0, 1e-5)
+    positions_t = table.positions(1, -1e-5)
+    assert positions_c[0] == pytest.approx(1e-5 + 2.0 * setup.zbar * setup.delta_c)
+    assert positions_c[1] == 1e-5
+    assert positions_t[0] == pytest.approx(-1e-5 + 2.0 * setup.zbar * setup.delta_t)
+    assert positions_t[1] == -1e-5
 
 
 def test_mz_condition_margins_reference_geometry():
@@ -292,6 +297,17 @@ def test_mz_asymptotic_warns_on_small_tilt():
     setup = mz_setup(tilt_ratio=2.0)
     with pytest.warns(ConditionWarning, match="tilt"):
         dn_corr_mz(setup, GateAngles(0, 0, 0, 0), 0.0, 0.0, mode="asymptotic")
+
+
+def test_mz_asymptotic_warns_once_per_call_with_worst_margin():
+    grid = make_grid("x_C", -1e-4, 1e-4, 2e-5)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        evaluate_pattern(mz_setup(), grid, "asymptotic", angles=GateAngles(0, 0, 0, 0))
+    # |x_C| / l_coh exceeds 0.1 at six grid points; the scan's worst is 0.2.
+    assert [str(r.message) for r in records if issubclass(r.category, ConditionWarning)] == [
+        "asymptotic two-path form may be inaccurate: detector_sep ratio 0.2 is above 0.1"
+    ]
 
 
 def test_mz_asymptotic_is_probability_at_tilt_phase():
@@ -331,13 +347,13 @@ def test_mz_mode_validation():
 
 
 def test_mz_pair_envelopes_shift_with_detectors():
-    setup = mz_setup()
-    at_origin = mz_pair_envelopes(setup, 0.0, 0.0)
-    moved = mz_pair_envelopes(setup, 3e-5, 0.0)
-    assert at_origin[(1, 1)] == pytest.approx(1.0, abs=1e-12)
-    assert at_origin[(2, 2)] == pytest.approx(1.0, abs=1e-12)
-    assert abs(at_origin[(1, 2)]) < 1e-12
-    assert moved[(1, 1)] != pytest.approx(1.0, abs=1e-6)
+    table = PathTable(mz_setup())
+    at_origin = table.envelopes(0.0, 0.0)
+    moved = table.envelopes(3e-5, 0.0)
+    assert at_origin[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert at_origin[1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert abs(at_origin[0, 1]) < 1e-12
+    assert moved[0, 0] != pytest.approx(1.0, abs=1e-6)
 
 
 def test_envelope_power_constant_for_masks_variable_for_mirrors():
@@ -366,17 +382,17 @@ def _path_amplitude(splitter, element, phi, theta):
 
 
 @pytest.mark.parametrize(
-    "paths_c, paths_t, coefficients, factor",
+    "paths_c, paths_t, setup, factor",
     [
-        ((_H, _V), (np.eye(2), _FLIP), gate_pair_coefficients, 0.5j),
-        ((1j * _H, -1j * _V), (0.5j * np.eye(2), -0.5j * _FLIP), mz_pair_coefficients, 0.25j),
+        ((_H, _V), (np.eye(2), _FLIP), gate_setup(), 0.5j),
+        ((1j * _H, -1j * _V), (0.5j * np.eye(2), -0.5j * _FLIP), mz_setup(), 0.25j),
     ],
     ids=["gate", "mz"],
 )
-def test_jones_oracle_reproduces_pair_coefficients(paths_c, paths_t, coefficients, factor):
-    """Per-path Jones products give the hand-derived pair weights, MZ cross signs included."""
+def test_jones_oracle_reproduces_pair_coefficients(paths_c, paths_t, setup, factor):
+    """Per-path Jones products give the path table's pair weights, MZ cross signs included."""
     angles = GateAngles(0.3, 0.4, 0.2, 0.1)
-    for (i, j), coeff in coefficients(angles).items():
+    for (i, j), coeff in pair_weights(setup, angles).items():
         amp_c = _path_amplitude(1 / math.sqrt(2), paths_c[i - 1], angles.phi_c, angles.theta_c)
         amp_t = _path_amplitude(1j / math.sqrt(2), paths_t[j - 1], angles.phi_t, angles.theta_t)
         assert np.conj(amp_c) * amp_t == pytest.approx(factor * coeff, abs=1e-10), f"pair {(i, j)}"

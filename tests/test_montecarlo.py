@@ -62,6 +62,13 @@ def test_source_positions_centered_inside_slit():
     assert source.positions.sum() == pytest.approx(0.0, abs=1e-18)
 
 
+def test_source_positions_computed_once_and_read_only():
+    source = SourceModel(a=1e-3, n_emitters=8)
+    assert source.positions is source.positions
+    with pytest.raises(ValueError, match="read-only"):
+        source.positions[0] = 0.0
+
+
 def test_source_validation():
     with pytest.raises(ValueError, match="a must be positive"):
         SourceModel(a=0.0)
