@@ -382,17 +382,36 @@ def run(config: ExperimentConfig) -> RunReport:
     )
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return f"{value:.17g}"
-
-
 def _preamble(config: ExperimentConfig) -> list[str]:
     lines = []
     for key, value in config.preamble_items():
         text = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"# {key}={text}")
     return lines
+
+
+# Rows per `%` call: enough that the per-call cost vanishes, few enough that
+# one block's cells stay small however long the scan is.
+_ROWS_PER_BLOCK = 1024
+
+
+def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
+    """Write the head lines, then one row per row of the 2-D float table.
+
+    Every cell is `%.17g`, 17 significant digits, which round-trips any double
+    exactly. Each block of rows is one `%` call on a repeated row template, so
+    no Python code runs per cell. labels, when given, lead each row as a string.
+    """
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    if labels is not None:
+        row = "%s," + row
+        table = np.column_stack([np.asarray(labels, dtype=object), table.astype(object)])
+    with path.open("w") as fh:
+        fh.write("\n".join(head) + "\n")
+        for start in range(0, len(table), _ROWS_PER_BLOCK):
+            block = table[start:start + _ROWS_PER_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:
@@ -406,28 +425,25 @@ def emit(report: RunReport, out_dir) -> list[Path]:
     preamble = _preamble(report.config)
     written: list[Path] = []
     for mode, pattern in report.patterns.items():
-        lines = list(preamble)
-        lines.append(f"# pattern_mode={pattern.mode}")
-        has_stderr = pattern.stderr is not None
-        lines.append("x_C,x_T,value,stderr" if has_stderr else "x_C,x_T,value")
-        for index, (x_c, x_t) in enumerate(report.grid):
-            cells = [_fmt(x_c), _fmt(x_t), _fmt(float(pattern.values[index]))]
-            if has_stderr:
-                cells.append(_fmt(float(pattern.stderr[index])))
-            lines.append(",".join(cells))
+        columns = [report.grid, pattern.values]
+        header = "x_C,x_T,value"
+        if pattern.stderr is not None:
+            columns.append(pattern.stderr)
+            header += ",stderr"
         path = out / f"scan_{mode}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(
+            path, preamble + [f"# pattern_mode={pattern.mode}", header],
+            np.column_stack(columns),
+        )
         written.append(path)
     if report.comparisons:
-        lines = list(preamble)
-        lines.append("pair,nrmse,pearson,max_sigma_dev")
-        for pair, metrics in report.comparisons.items():
-            lines.append(",".join([
-                pair, _fmt(metrics["nrmse"]), _fmt(metrics["pearson"]),
-                _fmt(metrics["max_sigma_dev"]),
-            ]))
+        names = ("nrmse", "pearson", "max_sigma_dev")
         path = out / "scan_compare.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(
+            path, preamble + ["pair," + ",".join(names)],
+            [[metrics[name] for name in names] for metrics in report.comparisons.values()],
+            labels=list(report.comparisons),
+        )
         written.append(path)
     return written
 
@@ -440,13 +456,10 @@ def _closed_form_table(setup, x_c: float, x_t: float, mode: str) -> TruthTable:
 
 
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
-    lines = list(preamble)
-    lines.append(f"# table={which}")
-    lines.append("input," + ",".join(table.outputs))
-    data = table.values if which == "values" else table.stderr
-    for row, label in enumerate(table.inputs):
-        lines.append(label + "," + ",".join(_fmt(float(v)) for v in data[row]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path, preamble + [f"# table={which}", "input," + ",".join(table.outputs)],
+        table.values if which == "values" else table.stderr, labels=table.inputs,
+    )
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,8 +172,20 @@ def free_field(realization: Realization, setup, x_d: float) -> complex:
     Plain paraxial propagation over the source-to-mask distance z of the
     setup; the baseline every structured geometry is compared against.
     """
-    kernel = _paraxial(setup.wavelength, setup.z, realization.source.positions, x_d)
+    kernel = _free_kernel(setup.wavelength, setup.z, realization.source, float(x_d))
     return complex(realization.amplitudes @ kernel)
+
+
+@lru_cache(maxsize=64)
+def _free_kernel(wavelength: float, z: float, source: SourceModel, x_d: float) -> np.ndarray:
+    """Free-space kernel from every emitter to x_d, built once per key and read-only.
+
+    A free-field scan calls free_field once per realization and position, so
+    the same few kernels are reused across the whole ensemble.
+    """
+    kernel = _paraxial(wavelength, z, source.positions, x_d)
+    kernel.flags.writeable = False
+    return kernel
 
 
 # ---------------------------------------------------------------------------

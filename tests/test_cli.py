@@ -1,13 +1,20 @@
 """Command-line driver: config files, CSV output, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghostfringe.cli import ConfigError, main, parse_config
-from ghostfringe.gate import ideal_cnot_table
+import ghostfringe
+from ghostfringe.analytic import CorrelationPattern
+from ghostfringe.cli import ConfigError, RunReport, _write_table, emit, main, parse_config
+from ghostfringe.gate import BASIS_LABELS, TruthTable, ideal_cnot_table
 from ghostfringe.geometry import SetupBasic, SetupGate, SetupMZ
+from ghostfringe.montecarlo import MIN_EMITTERS, MIN_REALIZATIONS
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
 BASIC_SETUP = """\
@@ -273,6 +280,115 @@ def test_scan_deterministic_across_threads(tmp_path, monkeypatch):
     second = tmp_path / "second"
     main(["scan", "--config", config, "--mode", "mc", "--out", str(second)])
     assert (first / "scan_mc.csv").read_bytes() == (second / "scan_mc.csv").read_bytes()
+
+
+def per_cell_csv(head, rows):
+    """Oracle: the head lines, then every cell formatted on its own with format(v, ".17g")."""
+    lines = list(head)
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format(c, ".17g") for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def preamble_lines(config):
+    return [
+        f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}"
+        for key, value in config.preamble_items()
+    ]
+
+
+def assert_cells_round_trip(path, expected, first_column=0):
+    """float() of every data cell gives back the exact bits of the expected array."""
+    _, _, rows = read_csv(path)
+    cells = np.array([[float(c) for c in row[first_column:]] for row in rows])
+    expected = np.asarray(expected, dtype=float)
+    assert cells.shape == expected.shape
+    assert np.array_equal(cells.view(np.uint64), expected.view(np.uint64))
+
+
+def make_report(config, grid, patterns, comparisons=None):
+    return RunReport(
+        config=config, grid=grid, patterns=patterns, estimates={},
+        comparisons=comparisons or {}, margins={}, problems=[], timings={},
+    )
+
+
+def test_emit_matches_per_cell_formatting(tmp_path):
+    config = parse_config(write_config(tmp_path, BASIC_SETUP))
+    grid = np.array([[-0.0, -math.inf], [math.inf, 5e-324], [1e308, -1e-300], [0.1, 1.0 / 3.0]])
+    values = np.array([math.nan, math.inf, 5e-324, 1e308])
+    stderr = np.array([-0.0, math.nan, 1e308, 2.5e-17])
+    patterns = {
+        "exact": CorrelationPattern(grid, values, "exact"),
+        "mc": CorrelationPattern(grid, values[::-1], "monte-carlo", stderr=stderr),
+    }
+    comparisons = {
+        "exact_vs_mc": {"nrmse": -0.0, "pearson": math.nan, "max_sigma_dev": math.inf},
+        "exact_vs_asymptotic": {"nrmse": 5e-324, "pearson": -math.inf, "max_sigma_dev": 1e308},
+    }
+    out = tmp_path / "out"
+    written = emit(make_report(config, grid, patterns, comparisons), out)
+    assert written == [out / "scan_exact.csv", out / "scan_mc.csv", out / "scan_compare.csv"]
+    head = preamble_lines(config)
+
+    exact_table = np.column_stack([grid, values])
+    assert (out / "scan_exact.csv").read_text() == per_cell_csv(
+        head + ["# pattern_mode=exact", "x_C,x_T,value"], exact_table.tolist()
+    )
+    assert_cells_round_trip(out / "scan_exact.csv", exact_table)
+
+    mc_table = np.column_stack([grid, values[::-1], stderr])
+    assert (out / "scan_mc.csv").read_text() == per_cell_csv(
+        head + ["# pattern_mode=monte-carlo", "x_C,x_T,value,stderr"], mc_table.tolist()
+    )
+    assert_cells_round_trip(out / "scan_mc.csv", mc_table)
+
+    compare_rows = [[pair, *metrics.values()] for pair, metrics in comparisons.items()]
+    assert (out / "scan_compare.csv").read_text() == per_cell_csv(
+        head + ["pair,nrmse,pearson,max_sigma_dev"], compare_rows
+    )
+    assert_cells_round_trip(
+        out / "scan_compare.csv", [row[1:] for row in compare_rows], first_column=1
+    )
+
+
+def test_emit_on_empty_grid_writes_preamble_and_header(tmp_path):
+    config = parse_config(write_config(tmp_path, BASIC_SETUP))
+    grid = np.empty((0, 2))
+    pattern = CorrelationPattern(grid, np.empty(0), "monte-carlo", stderr=np.empty(0))
+    emit(make_report(config, grid, {"mc": pattern}), tmp_path)
+    head = preamble_lines(config) + ["# pattern_mode=monte-carlo", "x_C,x_T,value,stderr"]
+    assert (tmp_path / "scan_mc.csv").read_text() == "\n".join(head) + "\n"
+
+
+def test_truth_table_csv_matches_per_cell_formatting(tmp_path):
+    config = parse_config(write_config(tmp_path, GATE_SETUP))
+    values = ideal_cnot_table() / 3.0
+    values[0, 1:] = [-0.0, math.nan, 5e-324]
+    stderr = np.full((4, 4), 1e308)
+    stderr[3] = [math.inf, -math.inf, 0.1, -1e-300]
+    table = TruthTable(BASIS_LABELS, BASIS_LABELS, values, stderr=stderr)
+    for which, data in (("values", values), ("stderr", stderr)):
+        path = tmp_path / f"{which}.csv"
+        _write_table(path, preamble_lines(config), table, which)
+        head = preamble_lines(config) + [f"# table={which}", "input,HH,HV,VH,VV"]
+        rows = [[label, *row] for label, row in zip(BASIS_LABELS, data.tolist())]
+        assert path.read_text() == per_cell_csv(head, rows)
+        assert_cells_round_trip(path, data, first_column=1)
+
+
+def test_python_m_ghostfringe_runs_the_cli():
+    src = str(Path(ghostfringe.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-m", "ghostfringe", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ghostfringe")
+    assert f"n_realizations (default 10000, at least {MIN_REALIZATIONS})" in result.stdout
+    assert f"n_emitters (default 256, at least {MIN_EMITTERS})" in result.stdout
 
 
 def test_empty_thread_count_means_unset(tmp_path, monkeypatch):

@@ -161,6 +161,31 @@ def test_free_field_single_emitter_has_flat_intensity():
     assert len(intensities) == 1
 
 
+def test_free_field_kernel_is_cached_per_setup_source_and_position():
+    setups = [
+        basic_setup(),
+        SetupBasic(
+            a=0.5e-3, wavelength=700e-9, z=0.5, f=1.0,
+            x1=-5e-3, x2=5e-3, x1p=-5e-3, x2p=5e-3,
+        ),
+    ]
+    sources = [SourceModel(a=0.5e-3, n_emitters=64), SourceModel(a=0.25e-3, n_emitters=64)]
+    positions = (0.0, 1e-5, -3e-4, 2.5e-4)
+    montecarlo._free_kernel.cache_clear()
+    for _ in range(2):  # the second pass is served from the cache
+        for setup in setups:
+            for source in sources:
+                realization = sample_realization(source, seed=3, index=1)
+                for x_d in positions:
+                    kernel = montecarlo._paraxial(setup.wavelength, setup.z, source.positions, x_d)
+                    expected = complex(realization.amplitudes @ kernel)
+                    assert np.array_equal(free_field(realization, setup, x_d), expected)
+    assert montecarlo._free_kernel.cache_info().hits == 16
+    cached = montecarlo._free_kernel(setups[0].wavelength, setups[0].z, sources[0], 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 0.0
+
+
 def test_closing_a_pinhole_removes_its_position_dependence():
     source = SourceModel(a=0.5e-3, n_emitters=32)
     realization = sample_realization(source, seed=5, index=0)
