@@ -18,24 +18,23 @@ from .geometry import (
 from .analytic import (
     CorrelationPattern,
     PairContribution,
+    Violation,
     b_phase,
-    check_pair_conditions,
+    condition_margins,
     dn_corr_basic,
     fringe_period_xc,
     g1_pair,
     pattern_visibility,
     phase_phi_basic,
-    separation_ratios,
+    violations,
 )
 from .gate import (
     TruthTable,
-    cnot_condition_margin,
     cnot_truth_table,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,
     ideal_cnot_table,
-    mz_condition_margins,
     mz_phase,
     p_cnot,
     p_controlled_u,

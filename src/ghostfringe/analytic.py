@@ -27,9 +27,26 @@ from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, Setup
 
 PATTERN_MODES = ("exact", "asymptotic", "monte-carlo")
 
-# Artifact thresholds for the "far above" / "far below" regime checks.
-CROSS_RATIO_MIN = 10.0
-WITHIN_RATIO_MAX = 0.1
+# The regime sits a decade either side of 1: separations in units of l_coh,
+# and the gate phase in radians (|phi| <= 0.1 keeps the cross term within
+# 0.5% of its phi = 0 value).
+_FAR_BELOW, _FAR_ABOVE = 0.1, 10.0
+_SEPARATION = "{key} separation is {value:.3g} l_coh, {side} {threshold}"
+_RATIO = "{key} ratio {value:.3g} is {side} {threshold}"
+
+# Margin key -> (failing side, threshold, problem text), in report order.
+CONDITIONS = {
+    "within_11p": ("above", _FAR_BELOW, _SEPARATION),
+    "within_22p": ("above", _FAR_BELOW, _SEPARATION),
+    "cross_12p": ("below", _FAR_ABOVE, _SEPARATION),
+    "cross_21p": ("below", _FAR_ABOVE, _SEPARATION),
+    "tilt_c": ("below", _FAR_ABOVE, _RATIO),
+    "tilt_t": ("below", _FAR_ABOVE, _RATIO),
+    "tilt_diff": ("above", _FAR_BELOW, _RATIO),
+    "detector_sep": ("above", _FAR_BELOW, _RATIO),
+    "phase": ("above", _FAR_BELOW, "phase {value:.3g} rad is {side} {threshold}"
+              " (outside the CNOT regime)"),
+}
 
 
 def b_phase(xj, xd, setup: SetupBasic, mask_quad_scale: float = 1.0):
@@ -254,68 +271,71 @@ def mz_phase(setup: SetupMZ, x_c, x_t):
     )
 
 
-def separation_ratios(setup: SetupBasic) -> dict[str, float]:
-    """Pinhole separations in units of l_coh, keyed by pair."""
+def condition_margins(setup: SetupBasic | SetupMZ, x_c, x_t) -> dict:
+    """Every regime margin of a setup at detector positions x_c, x_t (arrays allowed).
+
+    Separations are in units of l_coh: within_* and cross_* between the
+    pinholes of the matched and the crossed pairs, tilt_* the displacement
+    2*zbar*delta of the tilted paths and detector_sep that of the detectors.
+    phase is |phi| of a gate (SetupGate or SetupMZ) at the positions.
+    """
     l = setup.l_coh
-    return {
+    if isinstance(setup, SetupMZ):
+        zb2 = 2.0 * setup.zbar
+        return {
+            "tilt_c": abs(setup.delta_c) * zb2 / l,
+            "tilt_t": abs(setup.delta_t) * zb2 / l,
+            "tilt_diff": abs(setup.delta_c - setup.delta_t) * zb2 / l,
+            "detector_sep": abs(x_c - x_t) / l,
+            "phase": abs(mz_phase(setup, x_c, x_t)),
+        }
+    margins = {
         "within_11p": abs(setup.x1 - setup.x1p) / l,
         "within_22p": abs(setup.x2 - setup.x2p) / l,
         "cross_12p": abs(setup.x1 - setup.x2p) / l,
         "cross_21p": abs(setup.x2 - setup.x1p) / l,
     }
+    if isinstance(setup, SetupGate):
+        margins["phase"] = abs(phase_phi_basic(setup, x_c, x_t))
+    return margins
 
 
-def check_pair_conditions(setup: SetupBasic) -> list[str]:
-    """Return human-readable violations of the two-path regime, if any."""
-    ratios = separation_ratios(setup)
-    problems = []
-    for key in ("within_11p", "within_22p"):
-        if ratios[key] > WITHIN_RATIO_MAX:
-            problems.append(
-                f"{key} separation is {ratios[key]:.3g} l_coh, above {WITHIN_RATIO_MAX}"
-            )
-    for key in ("cross_12p", "cross_21p"):
-        if ratios[key] < CROSS_RATIO_MIN:
-            problems.append(
-                f"{key} separation is {ratios[key]:.3g} l_coh, below {CROSS_RATIO_MIN}"
-            )
-    return problems
+def worst_margins(margins: dict) -> dict[str, float]:
+    """Each margin at its worst over the positions, in CONDITIONS order.
 
-
-def mz_condition_margins(setup: SetupMZ, x_c, x_t) -> dict:
-    """Ratios measuring how well the two-path regime holds.
-
-    tilt_c and tilt_t should be far above 1 (paths separated beyond l_coh),
-    tilt_diff and detector_sep far below 1, and phase small in radians for
-    the CNOT point. Detector positions may be arrays.
+    The worst is the largest value of a margin that fails above its
+    threshold and the smallest of one that fails below.
     """
-    l = setup.l_coh
-    zb2 = 2.0 * setup.zbar
-    return {
-        "tilt_c": abs(setup.delta_c) * zb2 / l,
-        "tilt_t": abs(setup.delta_t) * zb2 / l,
-        "tilt_diff": abs(setup.delta_c - setup.delta_t) * zb2 / l,
-        "detector_sep": abs(x_c - x_t) / l,
-        "phase": abs(mz_phase(setup, x_c, x_t)),
-    }
+    worst = {}
+    for key, (side, _, _) in CONDITIONS.items():
+        if key in margins:
+            values = np.asarray(margins[key], dtype=float)
+            worst[key] = float(
+                values.max(initial=-np.inf) if side == "above" else values.min(initial=np.inf)
+            )
+    return worst
 
 
-def check_mz_conditions(setup: SetupMZ, x_c, x_t) -> list[str]:
-    """Human-readable violations of the tilted-mirror two-path regime, if any.
+@dataclass(frozen=True)
+class Violation:
+    """A margin past its CONDITIONS threshold, at its worst value; str() is the problem text."""
 
-    Over arrays of detector positions each margin reports its worst value.
-    """
-    margins = mz_condition_margins(setup, x_c, x_t)
-    problems = []
-    for key in ("tilt_c", "tilt_t"):
-        worst = np.min(margins[key], initial=np.inf)
-        if worst < CROSS_RATIO_MIN:
-            problems.append(f"{key} ratio {worst:.3g} is below {CROSS_RATIO_MIN}")
-    for key in ("tilt_diff", "detector_sep"):
-        worst = np.max(margins[key], initial=0.0)
-        if worst > WITHIN_RATIO_MAX:
-            problems.append(f"{key} ratio {worst:.3g} is above {WITHIN_RATIO_MAX}")
-    return problems
+    key: str
+    value: float
+
+    def __str__(self) -> str:
+        side, threshold, text = CONDITIONS[self.key]
+        return text.format(key=self.key, value=self.value, side=side, threshold=threshold)
+
+
+def violations(margins: dict) -> list[Violation]:
+    """The margins of a condition_margins dict past their thresholds, in CONDITIONS order."""
+    found = []
+    for key, value in worst_margins(margins).items():
+        side, threshold, _ = CONDITIONS[key]
+        if value > threshold if side == "above" else value < threshold:
+            found.append(Violation(key, value))
+    return found
 
 
 def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
@@ -325,8 +345,8 @@ def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
     matched pairs only, with unit envelopes: |w11 + w22*exp(i*phi)|^2 at
     phase_phi_basic for masks and mz_phase behind tilted mirrors, which is
     p_controlled_u for the polarized setups and 2 + 2*cos(phi) for the plain
-    mask. Asymptotic mode warns once per call, with each margin's worst value
-    over the positions, when the geometry does not support it.
+    mask. Asymptotic mode warns once per call for each violated regime margin
+    but phase, with its worst value over the positions.
     """
     if mode == "exact":
         return pair_sum(
@@ -335,18 +355,17 @@ def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
     if mode != "asymptotic":
         raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
     setup = table.setup
+    for problem in violations(condition_margins(setup, x_c, x_t)):
+        if problem.key != "phase":
+            warnings.warn(
+                f"asymptotic two-path form may be inaccurate: {problem}",
+                ConditionWarning,
+                stacklevel=3,
+            )
     if isinstance(setup, SetupMZ):
-        problems = check_mz_conditions(setup, x_c, x_t)
         phi = mz_phase(setup, x_c, x_t)
     else:
-        problems = check_pair_conditions(setup)
         phi = phase_phi_basic(setup, x_c, x_t, table.mask_quad_scale)
-    for problem in problems:
-        warnings.warn(
-            f"asymptotic two-path form may be inaccurate: {problem}",
-            ConditionWarning,
-            stacklevel=3,
-        )
     weights = table.coefficients[..., 0, :] * table.coefficients[..., 1, :]
     return np.abs(weights[..., 0] + weights[..., 1] * np.exp(1j * phi)) ** 2
 
@@ -430,24 +449,23 @@ def pattern_visibility(values: np.ndarray) -> float:
 
 
 __all__ = [
-    "CROSS_RATIO_MIN",
-    "WITHIN_RATIO_MAX",
+    "CONDITIONS",
     "CorrelationPattern",
     "PairContribution",
     "PathTable",
+    "Violation",
     "b_phase",
-    "check_mz_conditions",
-    "check_pair_conditions",
     "closed_form",
+    "condition_margins",
     "dn_corr_basic",
     "envelope_power",
     "fringe_period_xc",
     "g1_pair",
-    "mz_condition_margins",
     "mz_phase",
     "pair_sum",
     "path_table",
     "pattern_visibility",
     "phase_phi_basic",
-    "separation_ratios",
+    "violations",
+    "worst_margins",
 ]

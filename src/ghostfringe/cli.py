@@ -12,7 +12,6 @@ import argparse
 import configparser
 import difflib
 import math
-import re
 import sys
 import time
 import warnings
@@ -23,13 +22,13 @@ import numpy as np
 
 from .analytic import (
     CorrelationPattern,
-    check_mz_conditions,
-    check_pair_conditions,
+    Violation,
     closed_form,
-    mz_condition_margins,
-    separation_ratios,
+    condition_margins,
+    violations,
+    worst_margins,
 )
-from .gate import BASIS_LABELS, TruthTable, basis_table, cnot_condition_margin
+from .gate import BASIS_LABELS, TruthTable, basis_table
 # Not called here: perfbench/tracer.py spans the one-point gate closed forms at
 # this lookup site, and its per-layer report needs the names to exist.
 from .gate import dn_corr_gate, dn_corr_mz  # noqa: F401
@@ -47,10 +46,6 @@ from .montecarlo import (
 from .patterns import SCAN_AXES, evaluate_pattern, make_grid
 
 MODES = ("exact", "asymptotic", "mc", "all")
-
-# Threshold for the warn-level "CNOT regime" check |phi| <= PHASE_MARGIN_MAX:
-# keeps the cross term within 0.5% of its phi=0 value.
-PHASE_MARGIN_MAX = 0.1
 
 _SETUP_KINDS = ("basic", "gate", "mz")
 _MASK_KEYS = frozenset({"kind", "a", "lambda", "z", "f", "x1", "x2", "x1p", "x2p"})
@@ -147,7 +142,7 @@ class RunReport:
     estimates: dict[str, EnsembleEstimate]
     comparisons: dict[str, dict[str, float]]
     margins: dict[str, float]
-    problems: list[str]
+    problems: list[Violation]
     timings: dict[str, float]
 
 
@@ -296,43 +291,17 @@ def parse_config(path) -> ExperimentConfig:
     )
 
 
-def conditions_report(config: ExperimentConfig) -> tuple[dict[str, float], list[str]]:
-    """Condition margins at the center of the configured scan, plus violations."""
-    grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
-    x_c, x_t = grid[len(grid) // 2]
-    setup = config.setup
-    if isinstance(setup, SetupMZ):
-        margins = dict(mz_condition_margins(setup, x_c, x_t))
-        problems = check_mz_conditions(setup, x_c, x_t)
-    else:
-        margins = dict(separation_ratios(setup))
-        problems = check_pair_conditions(setup)
-        if isinstance(setup, SetupGate):
-            margins["phase"] = cnot_condition_margin(setup, x_c, x_t)
-    if margins.get("phase", 0.0) > PHASE_MARGIN_MAX:
-        problems.append(
-            f"phase {margins['phase']:.3g} rad is above {PHASE_MARGIN_MAX}"
-            " (outside the CNOT regime)"
-        )
-    return margins, problems
+def conditions_report(config: ExperimentConfig, grid: np.ndarray):
+    """Condition margins over a grid of (x_C, x_T) and the violated ones.
 
-
-# Every problem text reads "<key> ... <value> ... above|below <threshold>".
-_PROBLEM = re.compile(
-    r"(?P<key>\S+) \D*(?P<value>[-+]?[\d.]+(?:e[-+]?\d+)?).* (?P<side>above|below) "
-)
-
-
-def _worst_per_margin(problems: list[str]) -> list[str]:
-    """One problem per margin key: the largest value above, the smallest below its threshold."""
-    worst: dict[str, tuple[float, str]] = {}
-    for problem in dict.fromkeys(problems):
-        match = _PROBLEM.match(problem)
-        sign = 1.0 if match["side"] == "above" else -1.0
-        key, badness = match["key"], sign * float(match["value"])
-        if key not in worst or badness > worst[key][0]:
-            worst[key] = (badness, problem)
-    return [problem for _, problem in worst.values()]
+    Each margin takes its worst value over the grid, except phase, which is
+    taken at the grid's centre point: a scan sweeps the gate's phase by design.
+    Returns (margins, violations), both in CONDITIONS order.
+    """
+    margins = condition_margins(config.setup, grid[:, 0], grid[:, 1])
+    if "phase" in margins:
+        margins["phase"] = margins["phase"][len(grid) // 2]
+    return worst_margins(margins), violations(margins)
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -342,11 +311,12 @@ def run(config: ExperimentConfig) -> RunReport:
     patterns: dict[str, CorrelationPattern] = {}
     estimates: dict[str, EnsembleEstimate] = {}
     timings: dict[str, float] = {}
-    warned: list[str] = []
-    for mode in wanted:
-        tic = time.perf_counter()
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
+    # conditions_report checks the whole grid for every mode, so the closed
+    # forms' own warnings would only repeat it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        for mode in wanted:
+            tic = time.perf_counter()
             if mode == "mc":
                 estimate = estimate_dn_corr(
                     config.setup, grid, config.n_realizations, config.seed,
@@ -356,14 +326,7 @@ def run(config: ExperimentConfig) -> RunReport:
                 patterns[mode] = estimate.pattern
             else:
                 patterns[mode] = evaluate_pattern(config.setup, grid, mode, angles=config.angles)
-        timings[mode] = time.perf_counter() - tic
-        # A ConditionWarning reads "<context>: <problem>"; the problem text
-        # matches conditions_report's, so both merge per margin key below.
-        warned += [
-            str(record.message).rpartition(": ")[2]
-            for record in records
-            if issubclass(record.category, ConditionWarning)
-        ]
+            timings[mode] = time.perf_counter() - tic
 
     comparisons: dict[str, dict[str, float]] = {}
     for mode in ("exact", "asymptotic"):
@@ -374,8 +337,7 @@ def run(config: ExperimentConfig) -> RunReport:
             patterns["exact"], patterns["asymptotic"]
         )
 
-    margins, problems = conditions_report(config)
-    problems = _worst_per_margin(problems + warned)
+    margins, problems = conditions_report(config, grid)
     return RunReport(
         config=config, grid=grid, patterns=patterns, estimates=estimates,
         comparisons=comparisons, margins=margins, problems=problems, timings=timings,
@@ -473,7 +435,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _report_problems(problems: list[str], strict: bool) -> int:
+def _report_problems(problems: list[Violation], strict: bool) -> int:
     for problem in problems:
         print(f"condition: {problem}", file=sys.stderr)
     return 2 if strict and problems else 0
@@ -523,19 +485,14 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
             written.append(err_path)
     for path in written:
         print(f"wrote {path}")
-    _, problems = conditions_report(config)
+    _, problems = conditions_report(config, np.array([[x_c, x_t]]))
     return _report_problems(problems, args.strict_conditions)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
-    exact = evaluate_pattern(config.setup, grid, "exact", angles=config.angles)
-    estimate = estimate_dn_corr(
-        config.setup, grid, config.n_realizations, config.seed,
-        angles=config.angles, n_emitters=config.n_emitters,
-    )
-    metrics = compare_patterns(exact, estimate)
+    report = run(replace(_load_config(args), mode="all"))
+    exact = report.patterns["exact"]
+    metrics = report.comparisons["exact_vs_mc"]
     print(f"nrmse: {metrics['nrmse']:.6g}")
     print(f"pearson: {metrics['pearson']:.6g}")
     print(f"max_sigma_dev: {metrics['max_sigma_dev']:.6g}")
@@ -552,7 +509,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_conditions(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    margins, problems = conditions_report(config)
+    grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
+    margins, problems = conditions_report(config, grid)
     for key, value in margins.items():
         print(f"{key} = {value:.6g}")
     if not problems:

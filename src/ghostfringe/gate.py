@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GateAngles, SetupGate, SetupMZ
-from .analytic import (
-    PathTable,
-    check_mz_conditions,
-    closed_form,
-    envelope_power,
-    mz_condition_margins,
-    mz_phase,
-    path_table,
-    phase_phi_basic,
-)
+from .analytic import PathTable, closed_form, envelope_power, mz_phase, path_table
 
 # Basis convention: H is logical 0 at angle 0, V is logical 1 at pi/2.
 BASIS_ANGLES = {"H": 0.0, "V": math.pi / 2.0}
@@ -79,11 +70,6 @@ def dn_corr_gate(
     """
     table = path_table(setup, angles, mask_quad_scale)
     return float(closed_form(table, x_c, x_t, mode))
-
-
-def cnot_condition_margin(setup: SetupGate, x_c: float, x_t: float) -> float:
-    """|phi| at the joint detection point; at most ~0.1 for a faithful CNOT."""
-    return abs(phase_phi_basic(setup, x_c, x_t))
 
 
 def dn_corr_mz(
@@ -172,14 +158,11 @@ __all__ = [
     "basis_angles",
     "basis_settings",
     "basis_table",
-    "check_mz_conditions",
-    "cnot_condition_margin",
     "cnot_truth_table",
     "dn_corr_gate",
     "dn_corr_mz",
     "envelope_power",
     "ideal_cnot_table",
-    "mz_condition_margins",
     "mz_phase",
     "p_cnot",
     "p_controlled_u",

@@ -10,19 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostfringe.analytic import (
-    CROSS_RATIO_MIN,
-    WITHIN_RATIO_MAX,
     CorrelationPattern,
     PathTable,
     b_phase,
-    check_pair_conditions,
+    condition_margins,
     dn_corr_basic,
     fringe_period_xc,
     g1_pair,
     pair_sum,
     pattern_visibility,
     phase_phi_basic,
-    separation_ratios,
+    violations,
 )
 from ghostfringe import analytic, gate, patterns
 from ghostfringe.core import C_LIGHT, sinc
@@ -173,7 +171,7 @@ def test_phase_scales_linearly_with_frequency(x_c, x_t, factor):
 
 
 def test_separation_ratios_keys_and_values():
-    ratios = separation_ratios(two_path_setup(ratio=20.0))
+    ratios = condition_margins(two_path_setup(ratio=20.0), 0.0, 0.0)
     assert ratios["within_11p"] == pytest.approx(0.0, abs=1e-12)
     assert ratios["within_22p"] == pytest.approx(0.0, abs=1e-12)
     assert ratios["cross_12p"] == pytest.approx(20.0, rel=1e-12)
@@ -181,9 +179,9 @@ def test_separation_ratios_keys_and_values():
 
 
 def test_check_pair_conditions_clean_and_violated():
-    assert check_pair_conditions(two_path_setup(ratio=20.0)) == []
+    assert violations(condition_margins(two_path_setup(ratio=20.0), 0.0, 0.0)) == []
     bad = two_path_setup(ratio=2.0, offset=2e-4)
-    problems = check_pair_conditions(bad)
+    problems = [str(p) for p in violations(condition_margins(bad, 0.0, 0.0))]
     assert any("cross" in p for p in problems)
     assert any("within" in p for p in problems)
 
@@ -198,6 +196,52 @@ def test_asymptotic_mode_silent_on_good_geometry():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dn_corr_basic(two_path_setup(ratio=20.0), 0.0, 0.0, mode="asymptotic")
+
+
+def test_problem_texts_of_the_three_families():
+    mask = violations(condition_margins(two_path_setup(ratio=2.0), 0.0, 0.0))
+    assert [(p.key, p.value) for p in mask] == [
+        ("cross_12p", pytest.approx(2.0)), ("cross_21p", pytest.approx(2.0))
+    ]
+    assert str(mask[0]) == "cross_12p separation is 2 l_coh, below 10.0"
+    # Tilts of 2 and 1.2 l_coh; detector C at 1e-4 sits 0.2 l_coh from detector T.
+    mz = SetupMZ(a=0.5e-3, wavelength=500e-9, z=1.0, zbar=0.2, delta_c=2.5e-3, delta_t=1.5e-3)
+    assert [str(p) for p in violations(condition_margins(mz, 0.0, 0.0))] == [
+        "tilt_c ratio 2 is below 10.0",
+        "tilt_t ratio 1.2 is below 10.0",
+        "tilt_diff ratio 0.8 is above 0.1",
+        "phase 4.02 rad is above 0.1 (outside the CNOT regime)",
+    ]
+    off_centre = violations(condition_margins(mz, 1e-4, 0.0))
+    assert "detector_sep ratio 0.2 is above 0.1" in [str(p) for p in off_centre]
+
+
+@given(
+    st.floats(min_value=2e-4, max_value=1e-3),
+    st.floats(min_value=0.05, max_value=0.5),
+    st.floats(min_value=-0.03, max_value=0.03),
+    st.floats(min_value=-0.03, max_value=0.03),
+    st.sampled_from(patterns.SCAN_AXES),
+    st.floats(min_value=-3e-4, max_value=3e-4),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=1e-6, max_value=5e-5),
+    st.floats(min_value=-3e-4, max_value=3e-4),
+)
+@settings(max_examples=100)
+def test_violations_over_a_grid_are_the_worst_per_point(
+    a, zbar, delta_c, delta_t, axis, start, n, step, fixed
+):
+    setup = SetupMZ(a=a, wavelength=500e-9, z=1.0, zbar=zbar, delta_c=delta_c, delta_t=delta_t)
+    grid = make_grid(axis, start, start + (n - 1) * step, step, fixed)
+    whole = {p.key: p.value for p in violations(condition_margins(setup, grid[:, 0], grid[:, 1]))}
+    per_point: dict[str, list[float]] = {}
+    for x_c, x_t in grid:
+        for p in violations(condition_margins(setup, float(x_c), float(x_t))):
+            per_point.setdefault(p.key, []).append(p.value)
+    assert list(whole) == [key for key in analytic.CONDITIONS if key in per_point]
+    for key, values in per_point.items():
+        side = analytic.CONDITIONS[key][0]
+        assert whole[key] == (max(values) if side == "above" else min(values))
 
 
 # ---------------------------------------------------------------------------

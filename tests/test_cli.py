@@ -451,11 +451,15 @@ step = 2e-5
         ("mz", small_tilts, ("tilt_c", "tilt_t", "tilt_diff", "phase")),
     )
     for name, text, violated in cases:
-        config = write_config(tmp_path, text + "\n[run]\nmode = asymptotic\n", f"{name}.ini")
+        config = write_config(tmp_path, text + MC_SMALL, f"{name}.ini")
         out = tmp_path / name
-        assert main(["scan", "--config", config, "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        lines = [line for line in err if line.startswith("condition:")]
+        per_mode = {}
+        for mode in ("exact", "asymptotic", "mc", "all"):
+            assert main(["scan", "--config", config, "--mode", mode, "--out", str(out)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            per_mode[mode] = [line for line in err if line.startswith("condition:")]
+        lines = per_mode["asymptotic"]
+        assert all(found == lines for found in per_mode.values()), per_mode
         for key in violated:
             assert sum(key in line for line in lines) == 1, (key, lines)
         assert main(["scan", "--config", config, "--out", str(out), "--strict-conditions"]) == 2
@@ -507,6 +511,20 @@ def test_truth_table_mc_writes_stderr_file(tmp_path):
     assert (out / "truth_table_mc.csv").is_file()
     _, _, rows = read_csv(out / "truth_table_mc_stderr.csv")
     assert all(float(v) >= 0.0 for r in rows for v in r[1:])
+
+
+def test_truth_table_checks_its_own_point(tmp_path, capsys):
+    # The [scan] centre (0, 1e-4) sits 12.6 rad off the CNOT phase; the table point
+    # (1e-4, 1e-4) of the symmetric mask sits at phase 0.
+    text = GATE_SETUP + "\n[scan]\naxis = x_C\ndetector_x = 1e-4\n"
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["truth-table", "--config", config, "--out", str(out), "--strict-conditions"]) == 0
+    assert "condition:" not in capsys.readouterr().err
+    assert main(["conditions", "--config", config, "--strict-conditions"]) == 2
+    assert "condition: phase 12.6 rad is above 0.1 (outside the CNOT regime)" in (
+        capsys.readouterr().err.splitlines()
+    )
 
 
 def test_truth_table_rejects_basic_setup(tmp_path, capsys):

@@ -1,12 +1,16 @@
-"""Numeric building blocks: the speed of light, sinc and the slit envelope."""
+"""Numeric building blocks: the speed of light, sinc and the slit envelope; package exports."""
 
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ghostfringe
 from ghostfringe.core import C_LIGHT, sinc, tophat_ft
 
 
@@ -66,3 +70,31 @@ def test_tophat_even_and_bounded(a, dx, l_coh):
     assert abs(value) <= 2.0 * a * (1.0 + 1e-12)
     if dx != 0.0:
         assert abs(value) <= 2.0 * a * l_coh / (math.pi * abs(dx)) * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Package exports
+# ---------------------------------------------------------------------------
+
+
+def _package_imports():
+    """(module, name) of every name ghostfringe/__init__.py imports from a submodule."""
+    tree = ast.parse(Path(ghostfringe.__file__).read_text())
+    return [
+        (f"ghostfringe.{node.module}", alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", ["analytic", "cli", "gate", "montecarlo", "patterns", "__init__"]
+)
+def test_every_export_resolves(module):
+    if module == "__init__":
+        for source, name in _package_imports():
+            assert getattr(ghostfringe, name) is getattr(importlib.import_module(source), name)
+        return
+    mod = importlib.import_module(f"ghostfringe.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

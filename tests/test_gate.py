@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostfringe.analytic import PathTable, path_table, phase_phi_basic
+from ghostfringe.analytic import PathTable, condition_margins, path_table, phase_phi_basic
 from ghostfringe.gate import (
     BASIS_LABELS,
     TruthTable,
     basis_angles,
-    cnot_condition_margin,
     cnot_truth_table,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,
     ideal_cnot_table,
-    mz_condition_margins,
     mz_phase,
     p_cnot,
     p_controlled_u,
@@ -233,8 +231,8 @@ def test_cnot_condition_margin_unit_boundary():
         x1p=-math.sqrt(setup.x1**2 + setup.wavelength * setup.h / math.pi),
         x2p=setup.x2p,
     )
-    assert cnot_condition_margin(shifted, 0.0, 0.0) == pytest.approx(1.0, rel=1e-10)
-    assert cnot_condition_margin(setup, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert condition_margins(shifted, 0.0, 0.0)["phase"] == pytest.approx(1.0, rel=1e-10)
+    assert condition_margins(setup, 0.0, 0.0)["phase"] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def test_mz_effective_positions_tilted_first():
 
 def test_mz_condition_margins_reference_geometry():
     setup = mz_setup(tilt_ratio=10.0)
-    margins = mz_condition_margins(setup, 0.0, 0.0)
+    margins = condition_margins(setup, 0.0, 0.0)
     assert margins["tilt_c"] == pytest.approx(10.0, rel=1e-12)
     assert margins["tilt_t"] == pytest.approx(10.0, rel=1e-12)
     assert margins["tilt_diff"] == pytest.approx(0.0, abs=1e-12)
