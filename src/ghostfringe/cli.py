@@ -489,22 +489,42 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
     return _report_problems(problems, args.strict_conditions)
 
 
+def _corrected_pearson(pearson: float, pattern: CorrelationPattern) -> float:
+    """Pearson correlation against a noise-free curve, corrected for the pattern's noise.
+
+    Independent noise of variance mean(stderr**2) attenuates the correlation
+    of a noisy pattern with the true one by sqrt(reliability), where
+    reliability = 1 - mean(stderr**2) / var(values) is the share of the
+    pattern's variance that is signal (Spearman 1904). Values and stderr share
+    one scale, so the ratio does not depend on it. NaN when noise accounts
+    for all of the variance, or there is no variance to split.
+    """
+    values = np.asarray(pattern.values, dtype=float)
+    stderr = np.asarray(pattern.stderr, dtype=float)
+    variance = np.var(values, ddof=1) if values.size > 1 else 0.0
+    reliability = 1.0 - np.mean(stderr**2) / variance if variance > 0.0 else 0.0
+    return pearson / math.sqrt(reliability) if reliability > 0.0 else math.nan
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run(replace(_load_config(args), mode="all"))
     exact = report.patterns["exact"]
     metrics = report.comparisons["exact_vs_mc"]
+    corrected = _corrected_pearson(metrics["pearson"], report.patterns["mc"])
     print(f"nrmse: {metrics['nrmse']:.6g}")
     print(f"pearson: {metrics['pearson']:.6g}")
+    print(f"pearson_corrected: {corrected:.6g}")
     print(f"max_sigma_dev: {metrics['max_sigma_dev']:.6g}")
     sigma_ok = metrics["max_sigma_dev"] <= 4.0
     values = np.asarray(exact.values)
     flat = values.max() <= 0.0 or np.ptp(values) <= 1e-9 * values.max()
-    pearson_ok = flat or metrics["pearson"] >= 0.99
+    pearson_ok = flat or corrected >= 0.99
     if flat:
         print("pattern is flat; pearson criterion skipped")
     passed = sigma_ok and pearson_ok
     print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    status = _report_problems(report.problems, args.strict_conditions)
+    return status if passed else 1
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:

@@ -1,15 +1,19 @@
 """Stochastic-field ensemble estimator, the reference the closed forms are checked against.
 
 The chaotic source is discretized into point emitters on a uniform grid across
-the slit. Each realization draws independent circular complex Gaussian
-amplitudes per emitter and propagates them with paraxial kernels; intensities
-are correlated across the two arms over the ensemble. Realizations are keyed
-by (seed, realization index) through the counter-based Philox generator, whose
-key and counter are its whole state: each batch builds one generator and
-re-keys it to (seed, index) with a zero counter for every realization, which
-gives exactly the numbers of a fresh per-realization generator at bulk-draw
-speed. Any partition of the ensemble across batches or threads therefore
-reproduces identical numbers.
+the slit, each with an independent circular complex Gaussian amplitude, and
+propagated with paraxial kernels; intensities are correlated across the two
+arms over the ensemble. Behind a pinhole mask every detector field combines
+at most four path fields, one per pinhole, so mask ensembles draw one
+amplitude per vector of an orthonormal basis of the pinhole source legs
+(_path_basis), which has exactly the emitter model's distribution.
+Tilted-mirror ensembles draw the emitter amplitudes themselves. Realizations
+are keyed by (seed, realization index) through the counter-based Philox
+generator, whose key and counter are its whole state: each batch builds one
+generator and re-keys it to (seed, index) with a zero counter for every
+realization, which gives exactly the numbers of a fresh per-realization
+generator at bulk-draw speed. Any partition of the ensemble across batches or
+threads therefore reproduces identical numbers.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -96,9 +100,10 @@ def sample_realization(source: SourceModel, seed: int, index: int) -> Realizatio
 
     A one-row block of the ensemble draw: the generator is keyed by
     (seed, index) with a zero counter, and emitters consume consecutive
-    counter positions, so the amplitudes are row `index` of every ensemble
-    pass with this seed. Identical arguments give identical draws regardless
-    of call order or interleaving.
+    counter positions, so the amplitudes are row `index` of every
+    tilted-mirror ensemble pass with this seed; a mask pass takes only the
+    first few values, one per vector of its path basis. Identical arguments
+    give identical draws regardless of call order or interleaving.
     """
     if index < 0:
         raise ValueError(f"realization index must be nonnegative, got {index}")
@@ -144,6 +149,25 @@ def _kernel_matrix(
             kernel = source_leg[:, None] * detector_leg[None, :]
         out = out + table.coefficients[..., index, path] * kernel
     return out
+
+
+def _path_basis(source: SourceModel, setup: SetupBasic | SetupMZ) -> np.ndarray | None:
+    """Orthonormal basis of a mask's pinhole source legs; None behind tilted mirrors.
+
+    Every mask kernel column is a sum over pinholes of weight times source
+    leg times detector leg, so whatever the angles, open paths or detector
+    positions, it lies in the span of the distinct source legs: at most four
+    columns, one per pinhole. With Q the QR basis of those legs, a @ K equals
+    (a @ Q) @ (Q^H K), and a @ Q of i.i.d. circular Gaussian emitter
+    amplitudes is again i.i.d. circular Gaussian with the same mean photon
+    number, so the ensemble draws a @ Q directly. Tilted-mirror kernels over a
+    scan span the whole emitter space and keep the emitter basis.
+    """
+    if isinstance(setup, SetupMZ):
+        return None
+    pinholes = np.array(list(dict.fromkeys(PathTable(setup).offsets.ravel().tolist())))
+    legs = _paraxial(setup.wavelength, setup.z, source.positions[:, None], pinholes[None, :])
+    return np.linalg.qr(legs)[0]
 
 
 def field_at_detector(
@@ -228,16 +252,20 @@ def worker_count() -> int:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _amplitude_block(source: SourceModel, seed: int, start: int, count: int) -> np.ndarray:
-    """Amplitudes of realizations start .. start + count - 1, one row each.
+def _amplitude_block(
+    source: SourceModel, seed: int, start: int, count: int, width: int | None = None
+) -> np.ndarray:
+    """Amplitudes of realizations start .. start + count - 1, width per row.
 
     One Philox generator serves the whole block. Before each row its state is
     reset to key (seed, index) with a zero counter and an empty buffer, the
-    state of a freshly built generator, so row r holds exactly the draws of
-    Generator(Philox(key=[seed, start + r])). The normals land in the float64
-    view of the row, which pairs consecutive draws as (real, imaginary).
+    state of a freshly built generator, so row r holds exactly the first
+    width complex draws of Generator(Philox(key=[seed, start + r])). The
+    normals land in the float64 view of the row, which pairs consecutive
+    draws as (real, imaginary). width defaults to one amplitude per emitter;
+    the ensemble passes the width of its path basis.
     """
-    block = np.empty((count, source.n_emitters), dtype=complex)
+    block = np.empty((count, source.n_emitters if width is None else width), dtype=complex)
     draws = block.view(np.float64)
     bitgen = np.random.Philox(key=0)
     generator = np.random.Generator(bitgen)
@@ -253,7 +281,7 @@ def _amplitude_block(source: SourceModel, seed: int, start: int, count: int) -> 
 
 
 def _batch_moments(source, seed, start, count, kernel_c, kernel_t):
-    amplitudes = _amplitude_block(source, seed, start, count)
+    amplitudes = _amplitude_block(source, seed, start, count, kernel_c.shape[0])
     e_c = amplitudes @ kernel_c
     e_t = amplitudes @ kernel_t
     i_c = e_c.real**2 + e_c.imag**2
@@ -261,15 +289,21 @@ def _batch_moments(source, seed, start, count, kernel_c, kernel_t):
     return i_c.sum(axis=0), i_t.sum(axis=0), (i_c * i_t).sum(axis=0)
 
 
-def _ensemble_moments(source, seed, n_realizations, n_batches, kernel_c, kernel_t):
+def _ensemble_moments(source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t):
     """One pass over the ensemble, shared by every estimator.
 
-    kernel_c and kernel_t are (n_emitters, M) propagation matrices: column m
-    gives the C and T arm fields of the m-th detector pair or angle setting.
-    Each realization is drawn once whatever M is. Returns, per column, the
-    mean C intensity, the intensity covariance and its batch-means stderr.
+    kernel_c and kernel_t are (n_emitters, M) propagation matrices of the
+    setup: column m gives the C and T arm fields of the m-th detector pair or
+    angle setting. Both are projected once onto the setup's path basis, so a
+    realization draws one amplitude per basis column, once whatever M is.
+    Returns, per column, the mean C intensity, the intensity covariance and
+    its batch-means stderr.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
+    basis = _path_basis(source, setup)
+    if basis is not None:
+        kernel_c = basis.conj().T @ kernel_c
+        kernel_t = basis.conj().T @ kernel_t
     sizes = _batch_sizes(n_realizations, n_batches)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     jobs = [
@@ -329,7 +363,7 @@ def estimate_dn_corr(
     kernel_c = _kernel_matrix(source, table, "C", grid[:, 0])
     kernel_t = _kernel_matrix(source, table, "T", grid[:, 1])
     _, covariance, stderr = _ensemble_moments(
-        source, seed, n_realizations, n_batches, kernel_c, kernel_t
+        source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
     weight = envelope_power(setup, grid[:, 0], grid[:, 1])
     weighted = covariance / weight
@@ -371,7 +405,7 @@ def estimate_mean_intensity(
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
     kernel = _kernel_matrix(source, path_table(setup, angles), arm, xs)
-    mean, var, _ = _ensemble_moments(source, seed, n_realizations, 10, kernel, kernel)
+    mean, var, _ = _ensemble_moments(source, setup, seed, n_realizations, 10, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
 
@@ -398,7 +432,7 @@ def estimate_truth_table(
     kernel_c = _kernel_matrix(source, table, "C", [x_c])
     kernel_t = _kernel_matrix(source, table, "T", [x_t])
     _, covariance, stderr = _ensemble_moments(
-        source, seed, n_realizations, n_batches, kernel_c, kernel_t
+        source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t
     )
     scale = covariance.max()
     if scale <= 0.0:

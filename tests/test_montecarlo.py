@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
-from ghostfringe.analytic import CorrelationPattern, dn_corr_basic
+from ghostfringe.analytic import CorrelationPattern, dn_corr_basic, path_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
     EnsembleEstimate,
+    Realization,
     SourceModel,
     compare_patterns,
     estimate_dn_corr,
@@ -120,6 +123,15 @@ def test_amplitude_block_matches_fresh_generator_per_realization():
     for row in (0, 7, n - 1):
         realization = sample_realization(source, seed, start + row)
         assert np.array_equal(realization.amplitudes, expected[row])
+
+
+def test_amplitude_block_width_takes_each_realizations_first_draws():
+    source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
+    narrow = SourceModel(a=1e-3, n_emitters=3, mean_photon_number=2.5)
+    expected = _fresh_generator_rows(narrow, 19, range(1000, 1012))
+    assert np.array_equal(montecarlo._amplitude_block(source, 19, 1000, 12, 3), expected)
+    pieces = [montecarlo._amplitude_block(source, 19, 1000 + lo, 4, 3) for lo in (0, 4, 8)]
+    assert np.array_equal(np.concatenate(pieces), expected)
 
 
 def test_seed_keys_the_generator_by_its_uint64_pattern():
@@ -351,13 +363,20 @@ def test_estimate_has_positive_errors_and_peak_one():
 
 
 def test_stderr_shrinks_like_root_n():
+    """Quadrupling the ensemble halves the raw errors, within 20%, on average over seeds.
+
+    Each batch-means stderr has 9 degrees of freedom, so one seed's ratio
+    scatters by about a quarter around 1/2; the mean of 16 seeds does not.
+    """
     setup = basic_setup()
     grid = make_grid("x_C", 0.0, 5e-5, 1e-5)
-    small = estimate_dn_corr(setup, grid, n_realizations=2000, seed=3, n_emitters=64)
-    large = estimate_dn_corr(setup, grid, n_realizations=8000, seed=3, n_emitters=64)
-    # quadrupling the ensemble should halve the raw errors, within 20%
-    ratio = np.mean(large.raw_stderr) / np.mean(small.raw_stderr)
-    assert 0.5 * 0.8 < ratio < 0.5 * 1.2, f"stderr ratio {ratio} not near 1/2"
+    ratios = []
+    for seed in range(16):
+        small = estimate_dn_corr(setup, grid, n_realizations=2000, seed=seed, n_emitters=64)
+        large = estimate_dn_corr(setup, grid, n_realizations=8000, seed=seed, n_emitters=64)
+        ratios.append(np.mean(large.raw_stderr) / np.mean(small.raw_stderr))
+    ratio = np.mean(ratios)
+    assert 0.5 * 0.8 < ratio < 0.5 * 1.2, f"mean stderr ratio {ratio} not near 1/2"
 
 
 def test_mean_intensity_nearly_uniform_despite_fringes():
@@ -373,6 +392,19 @@ def test_mean_intensity_nearly_uniform_despite_fringes():
     assert np.all(stderr > 0.0)
 
 
+def _ensemble_realization(source, setup, seed, index):
+    """Oracle: realization `index` of an ensemble pass, as emitter amplitudes.
+
+    Mask ensembles draw z in the path basis Q, which stands for the emitter
+    amplitudes z @ Q^H; tilted-mirror ensembles draw the emitters themselves.
+    """
+    basis = montecarlo._path_basis(source, setup)
+    if basis is None:
+        return sample_realization(source, seed, index)
+    z = montecarlo._amplitude_block(source, seed, index, 1, basis.shape[1])[0]
+    return Realization(amplitudes=z @ basis.conj().T, seed=seed, index=index, source=source)
+
+
 def test_mean_intensity_matches_per_realization_loop():
     setup = gate_setup()
     xs = np.array([0.0, 1e-5, 3e-5])
@@ -383,7 +415,7 @@ def test_mean_intensity_matches_per_realization_loop():
     source = SourceModel(a=setup.a, n_emitters=64)
     intensities = np.array([
         [
-            abs(field_at_detector(sample_realization(source, 6, k), setup, "T", x,
+            abs(field_at_detector(_ensemble_realization(source, setup, 6, k), setup, "T", x,
                                   angles=QUARTER_ANGLES)) ** 2
             for x in xs
         ]
@@ -442,16 +474,19 @@ def test_truth_table_estimate_recovers_permutation_structure():
 
 
 def test_truth_table_draws_each_realization_once(monkeypatch):
-    drawn = []
+    drawn, widths = [], set()
     original = montecarlo._amplitude_block
 
-    def counting(source, seed, start, count):
+    def counting(source, seed, start, count, width=None):
         drawn.extend(range(start, start + count))
-        return original(source, seed, start, count)
+        widths.add(width)
+        return original(source, seed, start, count, width)
 
     monkeypatch.setattr(montecarlo, "_amplitude_block", counting)
     estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=200, seed=23, n_emitters=64)
     assert sorted(drawn) == list(range(200))
+    # the gate's two arms share their two pinholes: two path amplitudes per realization
+    assert widths == {2}
 
 
 @pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
@@ -465,7 +500,7 @@ def test_truth_table_matches_per_setting_loop(setup):
     n, n_batches = 300, 10
     table = estimate_truth_table(setup, 0.0, 0.0, n_realizations=n, seed=31, n_emitters=64)
     source = SourceModel(a=setup.a, n_emitters=64)
-    realizations = [sample_realization(source, 31, k) for k in range(n)]
+    realizations = [_ensemble_realization(source, setup, 31, k) for k in range(n)]
     raw, batch_err = [], []
     for angles in basis_settings():
         i_c, i_t = (
@@ -496,6 +531,118 @@ def test_truth_table_is_deterministic_across_threads(monkeypatch):
     )
     assert np.array_equal(serial.values, threaded.values)
     assert np.array_equal(serial.stderr, threaded.stderr)
+
+
+# ---------------------------------------------------------------------------
+# Path basis
+# ---------------------------------------------------------------------------
+
+
+pinhole = st.floats(min_value=-1e-2, max_value=1e-2)
+angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+@st.composite
+def mask_cases(draw):
+    kind = draw(st.sampled_from([SetupBasic, SetupGate]))
+    x1, x2 = draw(pinhole), draw(pinhole)
+    # primed pinholes anywhere, on an unprimed one, or a fraction of l_coh from it
+    x1p = draw(st.one_of(pinhole, st.just(x1), st.floats(-5e-4, 5e-4).map(lambda d: x1 + d)))
+    x2p = draw(st.one_of(pinhole, st.just(x2), st.floats(-5e-4, 5e-4).map(lambda d: x2 + d)))
+    setup = kind(
+        a=draw(st.floats(min_value=1e-4, max_value=1e-3)),
+        wavelength=draw(st.floats(min_value=400e-9, max_value=700e-9)),
+        z=draw(st.floats(min_value=0.5, max_value=2.0)), f=1.0,
+        x1=x1, x2=x2, x1p=x1p, x2p=x2p,
+    )
+    angles = GateAngles(*draw(st.tuples(angle, angle, angle, angle))) if kind is SetupGate else None
+    open_paths = draw(st.sampled_from([None, (1,), (2,), (1, 2)]))
+    xs = draw(st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=1, max_size=6))
+    return setup, angles, open_paths, np.array(xs)
+
+
+def _drawn_widths(setup, angles, xs, n_emitters):
+    """Widths the ensemble engine draws at for one estimate over the positions xs."""
+    widths = set()
+    original = montecarlo._amplitude_block
+
+    def recording(source, seed, start, count, width=None):
+        widths.add(width)
+        return original(source, seed, start, count, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_amplitude_block", recording)
+        estimate_mean_intensity(
+            setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=n_emitters
+        )
+    return widths
+
+
+@given(mask_cases())
+@settings(max_examples=60, deadline=None)
+def test_path_basis_spans_every_mask_kernel(case):
+    setup, angles, open_paths, xs = case
+    source = SourceModel(a=setup.a, n_emitters=64)
+    basis = montecarlo._path_basis(source, setup)
+    width = basis.shape[1]
+    assert width == len({setup.x1, setup.x2, setup.x1p, setup.x2p}) <= 4
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(width), rtol=0.0, atol=1e-12)
+    table = path_table(setup, angles, open_paths=open_paths)
+    for arm in ("C", "T"):
+        kernel = montecarlo._kernel_matrix(source, table, arm, xs)
+        np.testing.assert_allclose(
+            basis @ (basis.conj().T @ kernel), kernel, rtol=0.0, atol=1e-12
+        )
+    assert _drawn_widths(setup, angles, xs, 64) == {width}
+
+
+def test_mz_ensemble_keeps_the_emitter_basis():
+    setup = mz_setup()
+    assert montecarlo._path_basis(SourceModel(a=setup.a, n_emitters=64), setup) is None
+    xs = np.linspace(-1e-4, 1e-4, 5)
+    assert _drawn_widths(setup, QUARTER_ANGLES, xs, 64) == {64}
+
+
+def offset_mask() -> SetupBasic:
+    """Primed pinholes a fraction of l_coh from the unprimed ones: four overlapping legs."""
+    l_coh = 5e-4
+    return SetupBasic(
+        a=0.5e-3, wavelength=500e-9, z=1.0, f=1.0,
+        x1=-5e-3, x2=5e-3, x1p=-5e-3 + 0.3 * l_coh, x2p=5e-3 + 0.5 * l_coh,
+    )
+
+
+@pytest.mark.parametrize(
+    "setup, angles, grid",
+    [
+        (offset_mask(), None, make_grid("x_C", 0.0, 5e-5, 5e-6)),
+        (mz_setup(), QUARTER_ANGLES, make_grid("x_C", -1e-4, 1e-4, 2e-5)),
+    ],
+    ids=["basic", "mz"],
+)
+def test_covariance_is_calibrated_against_noise_free_reference(setup, angles, grid):
+    """Seed sweep against the discretized source's exact covariance n^2 |K_C^H K_T|^2.
+
+    By the Gaussian moment theorem, each column's expected intensity
+    covariance is exactly the reference, so the seed-averaged covariance
+    must sit within 4 pooled standard errors of it everywhere, and the
+    per-seed z-scores (t-distributed, 9 degrees of freedom: mean z^2 = 9/7)
+    must have a mean square near 1.29.
+    """
+    source = SourceModel(a=setup.a, n_emitters=64, mean_photon_number=1.5)
+    table = path_table(setup, angles)
+    kernel_c = montecarlo._kernel_matrix(source, table, "C", grid[:, 0])
+    kernel_t = montecarlo._kernel_matrix(source, table, "T", grid[:, 1])
+    reference = 1.5**2 * np.abs((kernel_c.conj() * kernel_t).sum(axis=0)) ** 2
+    covariances, stderrs = np.array([
+        montecarlo._ensemble_moments(source, setup, seed, 2000, 10, kernel_c, kernel_t)[1:]
+        for seed in range(40)
+    ]).transpose(1, 0, 2)
+    pooled_err = np.sqrt((stderrs**2).sum(axis=0)) / len(stderrs)
+    pooled_z = (covariances.mean(axis=0) - reference) / pooled_err
+    assert np.abs(pooled_z).max() <= 4.0, pooled_z
+    mean_z2 = np.mean(((covariances - reference) / stderrs) ** 2)
+    assert 0.5 <= mean_z2 <= 2.5, mean_z2
 
 
 # ---------------------------------------------------------------------------
