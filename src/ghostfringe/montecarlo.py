@@ -3,17 +3,17 @@
 The chaotic source is discretized into point emitters on a uniform grid across
 the slit, each with an independent circular complex Gaussian amplitude, and
 propagated with paraxial kernels; intensities are correlated across the two
-arms over the ensemble. Behind a pinhole mask every detector field combines
-at most four path fields, one per pinhole, so mask ensembles draw one
-amplitude per vector of an orthonormal basis of the pinhole source legs
+arms over the ensemble. Every detector field is a weighted sum of source
+legs, one per distinct point a path leaves the source region for: a pinhole
+on a mask, a shifted detector position behind tilted mirrors. The ensemble
+draws one amplitude per vector of an orthonormal basis of those legs
 (_path_basis), which has exactly the emitter model's distribution.
-Tilted-mirror ensembles draw the emitter amplitudes themselves. Realizations
-are keyed by (seed, realization index) through the counter-based Philox
-generator, whose key and counter are its whole state: each batch builds one
-generator and re-keys it to (seed, index) with a zero counter for every
-realization, which gives exactly the numbers of a fresh per-realization
-generator at bulk-draw speed. Any partition of the ensemble across batches or
-threads therefore reproduces identical numbers.
+Amplitudes come from the counter-based Philox generator keyed by
+(seed, width): each takes two 53-bit uniforms, turned into a circular complex
+Gaussian by the Box-Muller transform, so realization r always starts at
+counter r * ceil(width / 2) and a whole block is one vectorized draw. Any
+partition of the ensemble across batches, chunks or threads therefore
+reproduces identical numbers.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -41,6 +41,12 @@ THREADS_ENV_VAR = "GHOSTFRINGE_THREADS"
 # batch-means stderr meaningless, fewer emitters under-resolve the slit.
 MIN_REALIZATIONS = 100
 MIN_EMITTERS = 64
+
+# Batches of the batch-means stderr, and the complex values (drawn amplitudes
+# plus arm fields) one chunk of a batch may hold, which bounds the ensemble's
+# memory for any n_realizations.
+N_BATCHES = 10
+CHUNK_VALUES = 2**18
 
 
 def check_ensemble_size(n_realizations: int, n_emitters: int) -> None:
@@ -98,12 +104,10 @@ class Realization:
 def sample_realization(source: SourceModel, seed: int, index: int) -> Realization:
     """Draw circular complex Gaussian amplitudes with <|alpha|^2> = mean_photon_number.
 
-    A one-row block of the ensemble draw: the generator is keyed by
-    (seed, index) with a zero counter, and emitters consume consecutive
-    counter positions, so the amplitudes are row `index` of every
-    tilted-mirror ensemble pass with this seed; a mask pass takes only the
-    first few values, one per vector of its path basis. Identical arguments
-    give identical draws regardless of call order or interleaving.
+    Row `index` of the emitter-width stream: the generator is keyed by
+    (seed, n_emitters) and the row starts at its own counter, so identical
+    arguments give identical draws regardless of call order or interleaving.
+    Ensemble passes draw in their path basis, a stream keyed by its own width.
     """
     if index < 0:
         raise ValueError(f"realization index must be nonnegative, got {index}")
@@ -122,52 +126,59 @@ def _paraxial(wavelength: float, distance: float, x_from, x_to):
     return np.exp(1j * k / (2.0 * distance) * (x_from - x_to) ** 2)
 
 
-def _kernel_matrix(
-    source: SourceModel, table: PathTable, arm: str, detector_positions
-) -> np.ndarray:
-    """Propagation matrix K, the sum over the arm's paths of weight times per-path kernel.
+def _kernel_factors(source: SourceModel, table: PathTable, detectors):
+    """Distinct source legs L and, per (arm, positions) entry, coefficients C with K = L @ C.
 
-    A mask path propagates emitter -> pinhole over z and pinhole -> detector
-    over f; a tilted-mirror path propagates emitter -> shifted detector
-    position over z. Multiplying emitter amplitudes by K gives the arm field
-    at each detector position. Weights with a leading settings axis (see
-    basis_table) at one detector position give one column per setting.
+    A path leaves the source along a leg, the paraxial propagator over z from
+    each emitter to a point: its pinhole on a mask, the shifted detector
+    position x_d + offset behind tilted mirrors; a mask path then carries the
+    pinhole -> detector propagator over f. Column m of an arm's propagation
+    matrix K, whose product with emitter amplitudes is the arm field, sums
+    weight times that factor times leg over the arm's paths. Weights with a
+    leading settings axis (see basis_table) at one position give one column
+    per setting.
     """
-    if arm not in ("C", "T"):
-        raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
-    index = ("C", "T").index(arm)
-    xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     setup = table.setup
-    xm = source.positions
-    out = 0.0
-    for path, offset in enumerate(table.offsets[index]):
+    points, values = [], []
+    for arm, positions in detectors:
+        if arm not in ("C", "T"):
+            raise ValueError(f"arm must be 'C' or 'T', got {arm!r}")
+        index = ("C", "T").index(arm)
+        xs = np.atleast_1d(np.asarray(positions, dtype=float))[:, None]
+        offsets = table.offsets[index]
         if isinstance(setup, SetupMZ):
-            kernel = _paraxial(setup.wavelength, setup.z, xm[:, None], xs[None, :] + offset)
+            point = xs + offsets
+            factor = np.ones_like(point)
         else:
-            source_leg = _paraxial(setup.wavelength, setup.z, xm, offset)
-            detector_leg = _paraxial(setup.wavelength, setup.f, offset, xs)
-            kernel = source_leg[:, None] * detector_leg[None, :]
-        out = out + table.coefficients[..., index, path] * kernel
-    return out
+            point, factor = offsets, _paraxial(setup.wavelength, setup.f, offsets, xs)
+        values.append(table.coefficients[..., index, :] * factor)
+        points.append(np.broadcast_to(point, values[-1].shape).ravel())
+    leg_points, inverse = np.unique(np.concatenate(points), return_inverse=True)
+    legs = _paraxial(setup.wavelength, setup.z, source.positions[:, None], leg_points)
+    coefficients = []
+    for leg, value in zip(np.split(inverse, np.cumsum([p.size for p in points])[:-1]), values):
+        coefficient = np.zeros((leg_points.size, len(value)), dtype=complex)
+        np.add.at(coefficient, (leg.reshape(value.shape), np.arange(len(value))[:, None]), value)
+        coefficients.append(coefficient)
+    return legs, coefficients
 
 
-def _path_basis(source: SourceModel, setup: SetupBasic | SetupMZ) -> np.ndarray | None:
-    """Orthonormal basis of a mask's pinhole source legs; None behind tilted mirrors.
+def _path_basis(source: SourceModel, table: PathTable, detectors):
+    """Orthonormal basis Q of the paths' source legs and each entry's kernel in it.
 
-    Every mask kernel column is a sum over pinholes of weight times source
-    leg times detector leg, so whatever the angles, open paths or detector
-    positions, it lies in the span of the distinct source legs: at most four
-    columns, one per pinhole. With Q the QR basis of those legs, a @ K equals
-    (a @ Q) @ (Q^H K), and a @ Q of i.i.d. circular Gaussian emitter
-    amplitudes is again i.i.d. circular Gaussian with the same mean photon
-    number, so the ensemble draws a @ Q directly. Tilted-mirror kernels over a
-    scan span the whole emitter space and keep the emitter basis.
+    Every kernel column lies in the span of the distinct source legs L
+    (_kernel_factors), so with L = QR, a @ K equals (a @ Q) @ (R @ C), and
+    a @ Q of i.i.d. circular Gaussian emitter amplitudes is again i.i.d.
+    circular Gaussian with the same mean photon number: the ensemble draws
+    a @ Q directly, one amplitude per column of Q. A mask has at most four
+    legs, one per pinhole, whatever the angles, open paths or positions.
+    Behind tilted mirrors the legs follow the detector positions; with more
+    legs than emitters Q is square and unitary, which changes nothing in the
+    distribution.
     """
-    if isinstance(setup, SetupMZ):
-        return None
-    pinholes = np.array(list(dict.fromkeys(PathTable(setup).offsets.ravel().tolist())))
-    legs = _paraxial(setup.wavelength, setup.z, source.positions[:, None], pinholes[None, :])
-    return np.linalg.qr(legs)[0]
+    legs, coefficients = _kernel_factors(source, table, detectors)
+    basis, triangle = np.linalg.qr(legs)
+    return basis, [triangle @ coefficient for coefficient in coefficients]
 
 
 def field_at_detector(
@@ -186,8 +197,8 @@ def field_at_detector(
     paths of the arm are open, e.g. (1,) to close the second pinhole.
     """
     table = path_table(setup, angles, open_paths=open_paths)
-    kernel = _kernel_matrix(realization.source, table, arm, [x_d])
-    return complex(realization.amplitudes @ kernel[:, 0])
+    legs, (coefficients,) = _kernel_factors(realization.source, table, [(arm, [x_d])])
+    return complex(realization.amplitudes @ legs @ coefficients[:, 0])
 
 
 def free_field(realization: Realization, setup, x_d: float) -> complex:
@@ -236,11 +247,6 @@ class EnsembleEstimate:
         return self.pattern.stderr
 
 
-def _batch_sizes(n: int, n_batches: int) -> list[int]:
-    base, rem = divmod(n, n_batches)
-    return [base + (1 if b < rem else 0) for b in range(n_batches)]
-
-
 def worker_count() -> int:
     """Ensemble worker threads from GHOSTFRINGE_THREADS; unset or empty means 1."""
     raw = os.environ.get(THREADS_ENV_VAR, "")
@@ -257,60 +263,63 @@ def _amplitude_block(
 ) -> np.ndarray:
     """Amplitudes of realizations start .. start + count - 1, width per row.
 
-    One Philox generator serves the whole block. Before each row its state is
-    reset to key (seed, index) with a zero counter and an empty buffer, the
-    state of a freshly built generator, so row r holds exactly the first
-    width complex draws of Generator(Philox(key=[seed, start + r])). The
-    normals land in the float64 view of the row, which pairs consecutive
-    draws as (real, imaginary). width defaults to one amplitude per emitter;
-    the ensemble passes the width of its path basis.
+    One Philox draw serves the whole block. The generator is keyed by
+    (seed mod 2**64, width), and every amplitude takes one half of a
+    four-word Philox block, so row r starts at counter r * ceil(width / 2)
+    whatever the block; an odd width leaves the second half of each row's
+    last block unused. Each amplitude is sqrt(-n * log1p(-u1)) *
+    exp(2*pi*i * u2) of two 53-bit uniforms (Box-Muller), a circular complex
+    Gaussian with <|alpha|^2> = n, the mean photon number. width defaults to
+    one amplitude per emitter; the ensemble passes the width of its path basis.
     """
-    block = np.empty((count, source.n_emitters if width is None else width), dtype=complex)
-    draws = block.view(np.float64)
-    bitgen = np.random.Philox(key=0)
-    generator = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    key[0] = seed & _UINT64_MASK
-    for row in range(count):
-        key[1] = (start + row) & _UINT64_MASK
-        bitgen.state = fresh
-        generator.standard_normal(out=draws[row])
-    draws *= math.sqrt(source.mean_photon_number / 2.0)
-    return block
+    width = source.n_emitters if width is None else width
+    blocks = -(-width // 2)
+    key = np.array([seed & _UINT64_MASK, width], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=start * blocks).random_raw(4 * blocks * count)
+    uniforms = (words.reshape(count, 2 * blocks, 2)[:, :width] >> 11) * 2.0**-53
+    radius = np.log1p(-uniforms[..., 0])
+    radius *= -source.mean_photon_number
+    np.sqrt(radius, out=radius)
+    amplitudes = np.exp(2j * math.pi * uniforms[..., 1])
+    amplitudes *= radius
+    return amplitudes
 
 
-def _batch_moments(source, seed, start, count, kernel_c, kernel_t):
-    amplitudes = _amplitude_block(source, seed, start, count, kernel_c.shape[0])
-    e_c = amplitudes @ kernel_c
-    e_t = amplitudes @ kernel_t
-    i_c = e_c.real**2 + e_c.imag**2
-    i_t = e_t.real**2 + e_t.imag**2
-    return i_c.sum(axis=0), i_t.sum(axis=0), (i_c * i_t).sum(axis=0)
+def _batch_moments(source, seed, start, count, kernel):
+    """Sums of I_C, I_T and I_C * I_T over one batch, per column of [K_C | K_T].
+
+    The batch is walked in chunks of at most CHUNK_VALUES complex values
+    (amplitudes plus fields) per step, so memory does not grow with the batch.
+    """
+    width, columns = kernel.shape
+    half = columns // 2
+    rows = max(1, CHUNK_VALUES // (width + columns))
+    sums = np.zeros((3, half))
+    for first in range(start, start + count, rows):
+        amplitudes = _amplitude_block(source, seed, first, min(rows, start + count - first), width)
+        intensities = np.abs(amplitudes @ kernel)
+        intensities *= intensities
+        i_c, i_t = intensities[:, :half], intensities[:, half:]
+        sums[0] += i_c.sum(axis=0)
+        sums[1] += i_t.sum(axis=0)
+        sums[2] += np.einsum("ij,ij->j", i_c, i_t)
+    return sums
 
 
-def _ensemble_moments(source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t):
+def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     """One pass over the ensemble, shared by every estimator.
 
-    kernel_c and kernel_t are (n_emitters, M) propagation matrices of the
-    setup: column m gives the C and T arm fields of the m-th detector pair or
-    angle setting. Both are projected once onto the setup's path basis, so a
-    realization draws one amplitude per basis column, once whatever M is.
-    Returns, per column, the mean C intensity, the intensity covariance and
-    its batch-means stderr.
+    kernel_c and kernel_t are (width, M) propagation matrices in the path
+    basis of the setup (_path_basis): column m gives the C and T arm fields
+    of the m-th detector pair or angle setting, and a realization draws one
+    amplitude per row, once whatever M is. Returns, per column, the mean C
+    intensity, the intensity covariance and its batch-means stderr over
+    N_BATCHES batches.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
-    basis = _path_basis(source, setup)
-    if basis is not None:
-        kernel_c = basis.conj().T @ kernel_c
-        kernel_t = basis.conj().T @ kernel_t
-    sizes = _batch_sizes(n_realizations, n_batches)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    jobs = [
-        (source, seed, int(start), int(count), kernel_c, kernel_t)
-        for start, count in zip(starts, sizes)
-        if count > 0
-    ]
+    kernel = np.hstack([kernel_c, kernel_t])
+    edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
+    jobs = [(source, seed, lo, hi - lo, kernel) for lo, hi in zip(edges, edges[1:])]
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -318,21 +327,11 @@ def _ensemble_moments(source, setup, seed, n_realizations, n_batches, kernel_c, 
     else:
         results = [_batch_moments(*job) for job in jobs]
 
-    batch_covs = []
-    total_ic = np.zeros(kernel_c.shape[1])
-    total_it = np.zeros(kernel_c.shape[1])
-    total_icit = np.zeros(kernel_c.shape[1])
-    for (s_ic, s_it, s_icit), count in zip(results, [j[3] for j in jobs]):
-        batch_covs.append(s_icit / count - (s_ic / count) * (s_it / count))
-        total_ic += s_ic
-        total_it += s_it
-        total_icit += s_icit
-    n = float(n_realizations)
-    mean_c = total_ic / n
-    covariance = total_icit / n - mean_c * (total_it / n)
-    batch_covs = np.asarray(batch_covs)
-    stderr = batch_covs.std(axis=0, ddof=1) / math.sqrt(batch_covs.shape[0])
-    return mean_c, covariance, stderr
+    batch_means = np.array(results) / np.diff(edges)[:, None, None]
+    batch_covs = batch_means[:, 2] - batch_means[:, 0] * batch_means[:, 1]
+    stderr = batch_covs.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
+    mean_c, mean_t, mean_ct = np.sum(results, axis=0) / n_realizations
+    return mean_c, mean_ct - mean_c * mean_t, stderr
 
 
 def estimate_dn_corr(
@@ -343,7 +342,6 @@ def estimate_dn_corr(
     angles: GateAngles | None = None,
     n_emitters: int = 256,
     mean_photon_number: float = 1.0,
-    n_batches: int = 10,
 ) -> EnsembleEstimate:
     """Ensemble estimate of the fluctuation correlation over a (N, 2) grid.
 
@@ -359,12 +357,9 @@ def estimate_dn_corr(
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    table = path_table(setup, angles)
-    kernel_c = _kernel_matrix(source, table, "C", grid[:, 0])
-    kernel_t = _kernel_matrix(source, table, "T", grid[:, 1])
-    _, covariance, stderr = _ensemble_moments(
-        source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t
-    )
+    detectors = [("C", grid[:, 0]), ("T", grid[:, 1])]
+    _, kernels = _path_basis(source, path_table(setup, angles), detectors)
+    _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
     weight = envelope_power(setup, grid[:, 0], grid[:, 1])
     weighted = covariance / weight
     weighted_err = stderr / weight
@@ -404,8 +399,8 @@ def estimate_mean_intensity(
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    kernel = _kernel_matrix(source, path_table(setup, angles), arm, xs)
-    mean, var, _ = _ensemble_moments(source, setup, seed, n_realizations, 10, kernel, kernel)
+    _, (kernel,) = _path_basis(source, path_table(setup, angles), [(arm, xs)])
+    mean, var, _ = _ensemble_moments(source, seed, n_realizations, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
 
@@ -418,7 +413,6 @@ def estimate_truth_table(
     seed: int,
     n_emitters: int = 256,
     mean_photon_number: float = 1.0,
-    n_batches: int = 10,
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 
@@ -428,12 +422,8 @@ def estimate_truth_table(
     the scale the truth table is about.
     """
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
-    table = basis_table(setup)
-    kernel_c = _kernel_matrix(source, table, "C", [x_c])
-    kernel_t = _kernel_matrix(source, table, "T", [x_t])
-    _, covariance, stderr = _ensemble_moments(
-        source, setup, seed, n_realizations, n_batches, kernel_c, kernel_t
-    )
+    _, kernels = _path_basis(source, basis_table(setup), [("C", [x_c]), ("T", [x_t])])
+    _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
     scale = covariance.max()
     if scale <= 0.0:
         raise ValueError("truth table has no positive entry to normalize by")

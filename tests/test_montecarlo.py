@@ -1,10 +1,11 @@
 """Stochastic-field ensemble estimator and its agreement with the closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
@@ -22,7 +23,7 @@ from ghostfringe.montecarlo import (
     free_field,
     sample_realization,
 )
-from ghostfringe.gate import BASIS_LABELS, basis_settings, ideal_cnot_table
+from ghostfringe.gate import BASIS_LABELS, basis_settings, basis_table, ideal_cnot_table
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
 
@@ -97,64 +98,97 @@ def test_realization_index_must_be_nonnegative():
         sample_realization(SourceModel(a=1e-3), seed=0, index=-1)
 
 
-def _fresh_generator_rows(source, seed, indices):
-    """Oracle: one freshly keyed Philox generator per realization."""
-    scale = math.sqrt(source.mean_photon_number / 2.0)
+def _philox_rows(seed, width, indices, mean_photon_number):
+    """Oracle: a fresh Philox generator per realization at its own counter, then Box-Muller.
+
+    Row r of a width-w stream holds the Philox blocks r * ceil(w / 2) + 1 ..,
+    two words per amplitude: u1 sets the modulus, u2 the phase.
+    """
+    blocks = -(-width // 2)
+    key = np.array([seed % 2**64, width], dtype=np.uint64)
     rows = []
     for index in indices:
-        key = np.array([seed, index], dtype=np.uint64)
-        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * source.n_emitters)
-        rows.append(scale * (z[0::2] + 1j * z[1::2]))
+        words = np.random.Philox(key=key, counter=index * blocks).random_raw(4 * blocks)
+        u = (words[: 2 * width] >> np.uint64(11)) / 2.0**53
+        rows.append(np.sqrt(-mean_photon_number * np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2]))
     return np.array(rows)
+
+
+def _pieces(source, seed, start, width, edges):
+    """Blocks of rows start + lo .. start + hi - 1 for consecutive edges, stacked."""
+    return np.concatenate([
+        montecarlo._amplitude_block(source, seed, start + lo, hi - lo, width)
+        for lo, hi in zip(edges, edges[1:])
+    ])
 
 
 def test_amplitude_block_matches_fresh_generator_per_realization():
     source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
     seed, start, n = 19, 1000, 12
-    expected = _fresh_generator_rows(source, seed, range(start, start + n))
+    expected = _philox_rows(seed, 48, range(start, start + n), 2.5)
     assert np.array_equal(montecarlo._amplitude_block(source, seed, start, n), expected)
     for cuts in ([5], [1, 2, 11], list(range(1, n))):
-        edges = [0, *cuts, n]
-        pieces = [
-            montecarlo._amplitude_block(source, seed, start + lo, hi - lo)
-            for lo, hi in zip(edges, edges[1:])
-        ]
-        assert np.array_equal(np.concatenate(pieces), expected), cuts
+        assert np.array_equal(_pieces(source, seed, start, None, [0, *cuts, n]), expected), cuts
     for row in (0, 7, n - 1):
         realization = sample_realization(source, seed, start + row)
         assert np.array_equal(realization.amplitudes, expected[row])
 
 
-def test_amplitude_block_width_takes_each_realizations_first_draws():
+@pytest.mark.parametrize("width", [1, 3, 4, 64])
+def test_amplitude_block_is_partition_invariant(width):
+    """Any split into blocks gives the same rows; odd widths leave half a Philox block unused."""
+    source = SourceModel(a=1e-3, n_emitters=64, mean_photon_number=0.7)
+    seed, start, n = 2**40 + 3, 517, 23
+    expected = _philox_rows(seed, width, range(start, start + n), 0.7)
+    whole = montecarlo._amplitude_block(source, seed, start, n, width)
+    assert whole.shape == (n, width)
+    assert np.array_equal(whole, expected)
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        cuts = sorted(rng.choice(np.arange(1, n), size=rng.integers(1, 8), replace=False))
+        assert np.array_equal(_pieces(source, seed, start, width, [0, *cuts, n]), expected), cuts
+
+
+def test_amplitude_block_keys_its_stream_by_width():
+    """Each width is its own stream: a narrow block is not the head of a wide one."""
     source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
-    narrow = SourceModel(a=1e-3, n_emitters=3, mean_photon_number=2.5)
-    expected = _fresh_generator_rows(narrow, 19, range(1000, 1012))
-    assert np.array_equal(montecarlo._amplitude_block(source, 19, 1000, 12, 3), expected)
-    pieces = [montecarlo._amplitude_block(source, 19, 1000 + lo, 4, 3) for lo in (0, 4, 8)]
-    assert np.array_equal(np.concatenate(pieces), expected)
+    narrow = montecarlo._amplitude_block(source, 19, 1000, 12, 3)
+    assert np.array_equal(narrow, _philox_rows(19, 3, range(1000, 1012), 2.5))
+    assert np.array_equal(_pieces(source, 19, 1000, 3, [0, 4, 8, 12]), narrow)
+    wide = montecarlo._amplitude_block(source, 19, 1000, 12)
+    assert not np.any(wide[:, :3] == narrow)
 
 
 def test_seed_keys_the_generator_by_its_uint64_pattern():
     """Keys at or above 2**63, such as negative seeds mod 2**64, stay exact."""
     source = SourceModel(a=1e-3, n_emitters=16)
     for seed in (-1, 2**63 + 5):
-        expected = _fresh_generator_rows(source, seed & (2**64 - 1), [3])[0]
+        expected = _philox_rows(seed & (2**64 - 1), 16, [3], 1.0)[0]
         assert np.array_equal(sample_realization(source, seed, 3).amplitudes, expected)
     zero = sample_realization(source, 0, 3).amplitudes
     assert not np.array_equal(sample_realization(source, -1, 3).amplitudes, zero)
 
 
 def test_amplitude_moments():
-    """<|alpha|^2> equals the mean photon number and <alpha^2> vanishes."""
+    """<|alpha|^2> is the mean photon number, <alpha^2> vanishes and <|alpha|^4> = 2 n^2.
+
+    Checked on the emitter-width stream of sample_realization and on an odd
+    path-basis width, which leaves half of each row's last Philox block unused.
+    """
     source = SourceModel(a=1e-3, n_emitters=64, mean_photon_number=2.5)
-    draws = np.concatenate(
+    emitters = np.concatenate(
         [sample_realization(source, seed=11, index=k).amplitudes for k in range(2000)]
     )
-    mean_n = np.mean(np.abs(draws) ** 2)
-    assert mean_n == pytest.approx(2.5, rel=0.01)
-    second = np.mean(draws**2)
-    sigma = np.std(draws**2) / math.sqrt(draws.size)
-    assert abs(second) < 3.0 * sigma, f"<alpha^2> = {second} not consistent with zero"
+    path_basis = montecarlo._amplitude_block(source, 11, 0, 40000, 3).ravel()
+    for draws in (emitters, path_basis):
+        mean_n = np.mean(np.abs(draws) ** 2)
+        assert mean_n == pytest.approx(2.5, rel=0.01)
+        second = np.mean(draws**2)
+        sigma = np.std(draws**2) / math.sqrt(draws.size)
+        assert abs(second) < 3.0 * sigma, f"<alpha^2> = {second} not consistent with zero"
+        fourth = np.abs(draws) ** 4
+        sigma = fourth.std() / math.sqrt(draws.size)
+        assert abs(fourth.mean() - 2.0 * 2.5**2) < 4.0 * sigma, f"<|alpha|^4> = {fourth.mean()}"
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +426,18 @@ def test_mean_intensity_nearly_uniform_despite_fringes():
     assert np.all(stderr > 0.0)
 
 
-def _ensemble_realization(source, setup, seed, index):
-    """Oracle: realization `index` of an ensemble pass, as emitter amplitudes.
+def _ensemble_realizations(source, table, detectors, seed, n):
+    """Oracle: realizations 0 .. n - 1 of an ensemble pass, as emitter amplitudes.
 
-    Mask ensembles draw z in the path basis Q, which stands for the emitter
-    amplitudes z @ Q^H; tilted-mirror ensembles draw the emitters themselves.
+    Ensembles draw z in the path basis Q of their detectors, which stands for
+    the emitter amplitudes z @ Q^H.
     """
-    basis = montecarlo._path_basis(source, setup)
-    if basis is None:
-        return sample_realization(source, seed, index)
-    z = montecarlo._amplitude_block(source, seed, index, 1, basis.shape[1])[0]
-    return Realization(amplitudes=z @ basis.conj().T, seed=seed, index=index, source=source)
+    basis, _ = montecarlo._path_basis(source, table, detectors)
+    z = _philox_rows(seed, basis.shape[1], range(n), source.mean_photon_number)
+    return [
+        Realization(amplitudes=row @ basis.conj().T, seed=seed, index=k, source=source)
+        for k, row in enumerate(z)
+    ]
 
 
 def test_mean_intensity_matches_per_realization_loop():
@@ -413,13 +448,10 @@ def test_mean_intensity_matches_per_realization_loop():
         setup, "T", xs, n_realizations=n, seed=6, angles=QUARTER_ANGLES, n_emitters=64
     )
     source = SourceModel(a=setup.a, n_emitters=64)
+    table = path_table(setup, QUARTER_ANGLES)
     intensities = np.array([
-        [
-            abs(field_at_detector(_ensemble_realization(source, setup, 6, k), setup, "T", x,
-                                  angles=QUARTER_ANGLES)) ** 2
-            for x in xs
-        ]
-        for k in range(n)
+        [abs(field_at_detector(r, setup, "T", x, angles=QUARTER_ANGLES)) ** 2 for x in xs]
+        for r in _ensemble_realizations(source, table, [("T", xs)], 6, n)
     ])
     np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(stderr, intensities.std(axis=0) / math.sqrt(n), rtol=1e-9)
@@ -483,10 +515,14 @@ def test_truth_table_draws_each_realization_once(monkeypatch):
         return original(source, seed, start, count, width)
 
     monkeypatch.setattr(montecarlo, "_amplitude_block", counting)
-    estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=200, seed=23, n_emitters=64)
-    assert sorted(drawn) == list(range(200))
-    # the gate's two arms share their two pinholes: two path amplitudes per realization
-    assert widths == {2}
+    for setup in (gate_setup(), mz_setup()):
+        drawn.clear()
+        widths.clear()
+        estimate_truth_table(setup, 0.0, 0.0, n_realizations=200, seed=23, n_emitters=64)
+        assert sorted(drawn) == list(range(200))
+        # the gate's two arms share their two pinholes, the equal-tilt MZ's its two
+        # shifted positions: two path amplitudes per realization
+        assert widths == {2}
 
 
 @pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
@@ -497,10 +533,12 @@ def test_truth_table_matches_per_setting_loop(setup):
     function, as 16 single-setting passes would; estimate_dn_corr cannot serve
     here because it refuses a single point whose covariance is not positive.
     """
-    n, n_batches = 300, 10
+    n, n_batches = 300, montecarlo.N_BATCHES
     table = estimate_truth_table(setup, 0.0, 0.0, n_realizations=n, seed=31, n_emitters=64)
     source = SourceModel(a=setup.a, n_emitters=64)
-    realizations = [_ensemble_realization(source, setup, 31, k) for k in range(n)]
+    realizations = _ensemble_realizations(
+        source, basis_table(setup), [("C", [0.0]), ("T", [0.0])], 31, n
+    )
     raw, batch_err = [], []
     for angles in basis_settings():
         i_c, i_t = (
@@ -561,8 +599,8 @@ def mask_cases(draw):
     return setup, angles, open_paths, np.array(xs)
 
 
-def _drawn_widths(setup, angles, xs, n_emitters):
-    """Widths the ensemble engine draws at for one estimate over the positions xs."""
+def _drawn_widths(estimate):
+    """Widths the ensemble engine draws at while running estimate()."""
     widths = set()
     original = montecarlo._amplitude_block
 
@@ -572,10 +610,44 @@ def _drawn_widths(setup, angles, xs, n_emitters):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_amplitude_block", recording)
-        estimate_mean_intensity(
-            setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=n_emitters
-        )
+        estimate()
     return widths
+
+
+def _direct_kernel(source, table, arm, detector_positions):
+    """Oracle: the arm's propagation matrix as a sum over paths of weight times path kernel.
+
+    A mask path propagates emitter -> pinhole over z and pinhole -> detector
+    over f; a tilted-mirror path emitter -> shifted detector position over z.
+    """
+    index = ("C", "T").index(arm)
+    xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
+    setup, xm = table.setup, source.positions
+    out = 0.0
+    for path, offset in enumerate(table.offsets[index]):
+        if isinstance(setup, SetupMZ):
+            kernel = montecarlo._paraxial(setup.wavelength, setup.z, xm[:, None], xs + offset)
+        else:
+            source_leg = montecarlo._paraxial(setup.wavelength, setup.z, xm, offset)
+            detector_leg = montecarlo._paraxial(setup.wavelength, setup.f, offset, xs)
+            kernel = source_leg[:, None] * detector_leg[None, :]
+        out = out + table.coefficients[..., index, path] * kernel
+    return out
+
+
+def _check_path_basis(source, table, xs, n_legs):
+    """Q is orthonormal, spans both arms' kernels, and has min(n_emitters, n_legs) columns."""
+    detectors = [("C", xs), ("T", xs[::-1])]
+    basis, kernels = montecarlo._path_basis(source, table, detectors)
+    width = basis.shape[1]
+    assert width == min(source.n_emitters, n_legs)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(width), rtol=0.0, atol=1e-12)
+    for (arm, positions), projected in zip(detectors, kernels):
+        kernel = _direct_kernel(source, table, arm, positions)
+        np.testing.assert_allclose(
+            basis @ (basis.conj().T @ kernel), kernel, rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(basis @ projected, kernel, rtol=0.0, atol=1e-12)
 
 
 @given(mask_cases())
@@ -583,24 +655,65 @@ def _drawn_widths(setup, angles, xs, n_emitters):
 def test_path_basis_spans_every_mask_kernel(case):
     setup, angles, open_paths, xs = case
     source = SourceModel(a=setup.a, n_emitters=64)
-    basis = montecarlo._path_basis(source, setup)
-    width = basis.shape[1]
-    assert width == len({setup.x1, setup.x2, setup.x1p, setup.x2p}) <= 4
-    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(width), rtol=0.0, atol=1e-12)
-    table = path_table(setup, angles, open_paths=open_paths)
-    for arm in ("C", "T"):
-        kernel = montecarlo._kernel_matrix(source, table, arm, xs)
-        np.testing.assert_allclose(
-            basis @ (basis.conj().T @ kernel), kernel, rtol=0.0, atol=1e-12
-        )
-    assert _drawn_widths(setup, angles, xs, 64) == {width}
+    pinholes = {setup.x1, setup.x2, setup.x1p, setup.x2p}
+    assert len(pinholes) <= 4
+    _check_path_basis(source, path_table(setup, angles, open_paths=open_paths), xs, len(pinholes))
+    # a single-arm pass draws one amplitude per pinhole of that arm
+    widths = _drawn_widths(lambda: estimate_mean_intensity(
+        setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=64
+    ))
+    assert widths == {len({setup.x1, setup.x2})}
 
 
-def test_mz_ensemble_keeps_the_emitter_basis():
-    setup = mz_setup()
-    assert montecarlo._path_basis(SourceModel(a=setup.a, n_emitters=64), setup) is None
-    xs = np.linspace(-1e-4, 1e-4, 5)
-    assert _drawn_widths(setup, QUARTER_ANGLES, xs, 64) == {64}
+@st.composite
+def mz_cases(draw):
+    tilt = st.one_of(st.just(0.0), st.floats(min_value=-0.04, max_value=0.04))
+    setup = SetupMZ(
+        a=draw(st.floats(min_value=1e-4, max_value=1e-3)),
+        wavelength=draw(st.floats(min_value=400e-9, max_value=700e-9)),
+        z=draw(st.floats(min_value=0.5, max_value=2.0)),
+        zbar=draw(st.floats(min_value=0.05, max_value=0.5)),
+        delta_c=draw(tilt), delta_t=draw(tilt),
+    )
+    angles = GateAngles(*draw(st.tuples(angle, angle, angle, angle)))
+    # short scans draw fewer amplitudes than emitters, long ones a square basis
+    position = st.floats(min_value=-1e-3, max_value=1e-3)
+    xs = draw(st.lists(st.one_of(position, st.just(0.0)), min_size=1, max_size=40))
+    return setup, angles, np.array(xs)
+
+
+@given(mz_cases())
+@example((mz_setup(), QUARTER_ANGLES, np.linspace(-1e-3, 1e-3, 40)))  # 160 legs, 64 emitters
+@settings(max_examples=40, deadline=None)
+def test_path_basis_spans_every_mz_kernel(case):
+    """Behind tilted mirrors the legs are the shifted detector positions x_d + offset."""
+    setup, angles, xs = case
+    source = SourceModel(a=setup.a, n_emitters=64)
+    # the tilted path lands 2 * zbar * delta from the straight one
+    legs_c = {x + shift for x in xs for shift in (2.0 * setup.zbar * setup.delta_c, 0.0)}
+    legs_t = {x + shift for x in xs[::-1] for shift in (2.0 * setup.zbar * setup.delta_t, 0.0)}
+    _check_path_basis(source, path_table(setup, angles), xs, len(legs_c | legs_t))
+    widths = _drawn_widths(lambda: estimate_mean_intensity(
+        setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=64
+    ))
+    assert widths == {min(64, len(legs_c))}
+
+
+def test_ensemble_memory_does_not_grow_with_realizations():
+    """Each batch is walked in chunks of CHUNK_VALUES, so peak memory is flat in n_realizations."""
+    setup = basic_setup()
+    grid = make_grid("x_C", 0.0, 2e-4, 1e-6)
+    # two path amplitudes and two arm fields per point in each row of a chunk
+    rows = montecarlo.CHUNK_VALUES // (2 + 2 * len(grid))
+    peaks = []
+    for n in (2 * montecarlo.N_BATCHES * rows, 8 * montecarlo.N_BATCHES * rows):
+        tracemalloc.start()
+        try:
+            estimate_dn_corr(setup, grid, n_realizations=n, seed=0, n_emitters=64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def offset_mask() -> SetupBasic:
@@ -631,11 +744,12 @@ def test_covariance_is_calibrated_against_noise_free_reference(setup, angles, gr
     """
     source = SourceModel(a=setup.a, n_emitters=64, mean_photon_number=1.5)
     table = path_table(setup, angles)
-    kernel_c = montecarlo._kernel_matrix(source, table, "C", grid[:, 0])
-    kernel_t = montecarlo._kernel_matrix(source, table, "T", grid[:, 1])
+    kernel_c = _direct_kernel(source, table, "C", grid[:, 0])
+    kernel_t = _direct_kernel(source, table, "T", grid[:, 1])
     reference = 1.5**2 * np.abs((kernel_c.conj() * kernel_t).sum(axis=0)) ** 2
+    _, projected = montecarlo._path_basis(source, table, [("C", grid[:, 0]), ("T", grid[:, 1])])
     covariances, stderrs = np.array([
-        montecarlo._ensemble_moments(source, setup, seed, 2000, 10, kernel_c, kernel_t)[1:]
+        montecarlo._ensemble_moments(source, seed, 2000, *projected)[1:]
         for seed in range(40)
     ]).transpose(1, 0, 2)
     pooled_err = np.sqrt((stderrs**2).sum(axis=0)) / len(stderrs)
