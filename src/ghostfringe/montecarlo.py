@@ -13,7 +13,10 @@ Amplitudes come from the counter-based Philox generator keyed by
 Gaussian by the Box-Muller transform, so realization r always starts at
 counter r * ceil(width / 2) and a whole block is one vectorized draw. Any
 partition of the ensemble across batches, chunks or threads therefore
-reproduces identical numbers.
+reproduces identical numbers. An intensity is a sum over pairs of path
+amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a basis of
+width w with w * w < columns reduces the ensemble on those w * w pair
+features instead of forming a field per column (_batch_moments).
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -285,18 +288,72 @@ def _amplitude_block(
     return amplitudes
 
 
-def _batch_moments(source, seed, start, count, kernel):
+@lru_cache(maxsize=None)
+def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of a basis of this width, built once and read-only."""
+    indices = np.triu_indices(width, 1)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
+def _pair_features(amplitudes):
+    """The w * w real quadratic features V of each row of path amplitudes a.
+
+    Columns are |a_i|^2, then Re and Im of conj(a_i) * a_j for the pairs
+    i < j of _pair_indices; _pair_coefficients gives their weights.
+    """
+    first, second = _pair_indices(amplitudes.shape[1])
+    products = amplitudes[:, first].conj() * amplitudes[:, second]
+    squares = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+    return np.hstack([squares, products.real, products.imag])
+
+
+def _pair_coefficients(kernel):
+    """Real (w * w, M) matrix W with |a @ kernel|^2 = _pair_features(a) @ W.
+
+    Rows are |k_i|^2, then 2 Re and -2 Im of conj(k_i) * k_j for i < j, one
+    column per kernel column: |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
+    and the terms (i, j) and (j, i) of that sum are complex conjugates.
+    """
+    first, second = _pair_indices(kernel.shape[0])
+    cross = 2.0 * kernel[first].conj() * kernel[second]
+    squares = kernel.real * kernel.real + kernel.imag * kernel.imag
+    return np.vstack([squares, cross.real, -cross.imag])
+
+
+def _batch_moments(source, seed, start, count, kernel, coefficients=None):
     """Sums of I_C, I_T and I_C * I_T over one batch, per column of [K_C | K_T].
 
-    The batch is walked in chunks of at most CHUNK_VALUES complex values
-    (amplitudes plus fields) per step, so memory does not grow with the batch.
+    Without coefficients, each chunk forms the arm fields amplitudes @ kernel
+    and squares them. With the kernel's pair coefficients W
+    (_pair_coefficients), each intensity is V @ W on the chunk's pair
+    features V, by |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j; a chunk
+    then only adds to the feature sum s and the Gram matrix G = V^T V, and
+    the batch sums are s @ W_C, s @ W_T and the column sums of
+    W_C * (G @ W_T). That costs O(w^4) per realization for a basis of width
+    w, whatever the number of columns; _ensemble_moments passes W when
+    w * w < columns. Either way the batch is walked in chunks of
+    CHUNK_VALUES // (width + columns) rows, so memory does not grow with the
+    batch.
     """
     width, columns = kernel.shape
     half = columns // 2
     rows = max(1, CHUNK_VALUES // (width + columns))
+    chunks = (
+        _amplitude_block(source, seed, first, min(rows, start + count - first), width)
+        for first in range(start, start + count, rows)
+    )
+    if coefficients is not None:
+        totals, gram = np.zeros(len(coefficients)), np.zeros((len(coefficients),) * 2)
+        for amplitudes in chunks:
+            features = _pair_features(amplitudes)
+            totals += features.sum(axis=0)
+            gram += features.T @ features
+        w_c, w_t = coefficients[:, :half], coefficients[:, half:]
+        return np.array([totals @ w_c, totals @ w_t, np.einsum("fm,fm->m", w_c, gram @ w_t)])
     sums = np.zeros((3, half))
-    for first in range(start, start + count, rows):
-        amplitudes = _amplitude_block(source, seed, first, min(rows, start + count - first), width)
+    for amplitudes in chunks:
         intensities = np.abs(amplitudes @ kernel)
         intensities *= intensities
         i_c, i_t = intensities[:, :half], intensities[:, half:]
@@ -312,14 +369,22 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     kernel_c and kernel_t are (width, M) propagation matrices in the path
     basis of the setup (_path_basis): column m gives the C and T arm fields
     of the m-th detector pair or angle setting, and a realization draws one
-    amplitude per row, once whatever M is. Returns, per column, the mean C
+    amplitude per row, once whatever M is. Every intensity is a sum over
+    pairs of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
+    so when the basis width w and the 2 * M columns satisfy w * w < columns,
+    as on every truth table and on mask scans of more than a few points, the
+    batches reduce on those pairs and form no arm field (_batch_moments):
+    their cost per realization does not grow with M. Wider bases, as behind
+    tilted mirrors, form the fields. Returns, per column, the mean C
     intensity, the intensity covariance and its batch-means stderr over
     N_BATCHES batches.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
     kernel = np.hstack([kernel_c, kernel_t])
+    width, columns = kernel.shape
+    coefficients = _pair_coefficients(kernel) if width * width < columns else None
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
-    jobs = [(source, seed, lo, hi - lo, kernel) for lo, hi in zip(edges, edges[1:])]
+    jobs = [(source, seed, lo, hi - lo, kernel, coefficients) for lo, hi in zip(edges, edges[1:])]
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -395,7 +460,9 @@ def estimate_mean_intensity(
 
     All positions share one ensemble pass of the batch engine, with the arm's
     kernel on both sides so its covariance is the per-realization intensity
-    variance; the stderr is sqrt(variance / n_realizations).
+    variance; the stderr is sqrt(variance / n_realizations). A mask scan of
+    three or more positions reduces on path-amplitude pairs, where the
+    duplicate columns cost nothing per realization.
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)

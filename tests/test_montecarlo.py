@@ -489,6 +489,11 @@ def test_estimate_points_do_not_depend_on_grid_shape():
     pair = estimate_dn_corr(setup, pair_grid, n_realizations=300, seed=2, n_emitters=64)
     single = estimate_dn_corr(setup, single_grid, n_realizations=300, seed=2, n_emitters=64)
     assert pair.raw_values[1] == pytest.approx(single.raw_values[0], rel=1e-9)
+    # 81 points reduce on pairs of the two path amplitudes, one point forms its fields
+    scan_grid = np.column_stack([np.linspace(-4e-5, 4e-5, 81), np.zeros(81)])
+    scan_grid[50] = single_grid[0]
+    scan = estimate_dn_corr(setup, scan_grid, n_realizations=300, seed=2, n_emitters=64)
+    assert scan.raw_values[50] == pytest.approx(single.raw_values[0], rel=1e-9)
 
 
 def test_truth_table_estimate_recovers_permutation_structure():
@@ -697,6 +702,55 @@ def test_path_basis_spans_every_mz_kernel(case):
         setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=64
     ))
     assert widths == {min(64, len(legs_c))}
+
+
+def _field_batch_sums(source, seed, start, count, kernel):
+    """Oracle: batch sums of I_C, I_T and I_C * I_T from the arm fields |a @ K|^2."""
+    amplitudes = montecarlo._amplitude_block(source, seed, start, count, kernel.shape[0])
+    intensities = np.abs(amplitudes @ kernel) ** 2
+    i_c, i_t = np.split(intensities, 2, axis=1)
+    return np.array([i_c.sum(axis=0), i_t.sum(axis=0), (i_c * i_t).sum(axis=0)])
+
+
+@st.composite
+def pair_cases(draw):
+    """Path table and detectors of a mask scan, or of a gate or MZ truth table."""
+    kind = draw(st.sampled_from(["mask scan", "gate table", "mz table"]))
+    if kind == "mask scan":
+        setup, angles, open_paths, xs = draw(mask_cases())
+        return setup, path_table(setup, angles, open_paths=open_paths), [("C", xs), ("T", xs[::-1])]
+    if kind == "gate table":
+        setup = draw(mask_cases().filter(lambda case: isinstance(case[0], SetupGate)))[0]
+    else:
+        setup = draw(mz_cases())[0]
+    position = st.floats(min_value=-1e-3, max_value=1e-3)
+    x_c, x_t = draw(position), draw(position)
+    return setup, basis_table(setup), [("C", [x_c]), ("T", [x_t])]
+
+
+@given(
+    pair_cases(),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=1000),
+    st.integers(min_value=1, max_value=300),
+)
+@example((gate_setup(), basis_table(gate_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 0, 200)
+@example((mz_setup(), basis_table(mz_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 0, 200)
+@settings(max_examples=60, deadline=None)
+def test_pair_reduction_matches_field_intensities(case, seed, start, count):
+    """Batch sums from the pair-feature Gram equal those from |a @ K|^2 on the same rows."""
+    setup, table, detectors = case
+    source = SourceModel(a=setup.a, n_emitters=64)
+    _, kernels = montecarlo._path_basis(source, table, detectors)
+    kernel = np.hstack(kernels)
+    expected = _field_batch_sums(source, seed, start, count, kernel)
+    with pytest.MonkeyPatch.context() as patch:
+        # a few rows per chunk, so the Gram is summed over several chunks
+        patch.setattr(montecarlo, "CHUNK_VALUES", 16 * kernel.shape[1])
+        sums = montecarlo._batch_moments(
+            source, seed, start, count, kernel, montecarlo._pair_coefficients(kernel)
+        )
+    np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_ensemble_memory_does_not_grow_with_realizations():
