@@ -3,21 +3,21 @@
 Usage, from the repository root:
 
     python3 bench/run_bench.py --parent COMMIT --pr N --scratch DIR [--seeds 10]
-        [--seconds 10] [--workload NAME ...]
 
 The parent side is the tree of COMMIT, unpacked with `git archive` into
 DIR/parent-<commit>; the change side is a fresh copy of the working tree's
 tracked and untracked, not ignored files in DIR/change, so both sides run
-from a clean directory of their own. For each seed 1..N and each workload
-both sides run
+from a clean directory of their own. For each seed 1..N and each workload of
+BENCHMARK.json both sides run
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --trace 0
 
-in their own checkout, and the side that runs first alternates from seed to
-seed. Per workload and end-to-end metric of BENCHMARK.json the output holds
-both medians, the parent's quartiles, the number of pairs in which the change
-is better, and the raw runs; then the failed and attempted op counts and
-whether every run passed the output gate. Nothing under perfbench/ and
+in their own checkout, for the run_seconds that BENCHMARK.json sets, and
+the side that runs first alternates from seed to seed. Per workload and
+end-to-end metric of BENCHMARK.json the output holds both medians, the
+parent's quartiles, the number of pairs in which the change is better, and
+the raw runs; then the failed and attempted op counts and whether every run
+passed the output gate. Nothing under perfbench/ and
 nothing in BENCHMARK.json is written.
 """
 
@@ -65,10 +65,10 @@ def snapshot(scratch: Path) -> Path:
     return target
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its result line plus the machine of its record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}:\n"
@@ -113,9 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scratch", required=True, type=Path,
                         help="directory outside the repository for the two checkouts")
     parser.add_argument("--seeds", type=int, default=10, help="pairs per workload, seeds 1..N")
-    parser.add_argument("--seconds", type=float, default=10.0, help="--seconds of each run")
-    parser.add_argument("--workload", action="append", choices=workloads,
-                        help="workload to run (repeatable); default all")
     args = parser.parse_args(argv)
     if args.seeds < 2:
         parser.error("--seeds must be at least 2 for quartiles")
@@ -126,25 +123,24 @@ def main(argv: list[str] | None = None) -> int:
     commit = git("rev-parse", "--short", args.parent)
     checkouts = {"parent": unpack(commit, scratch), "change": snapshot(scratch)}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    command = (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
-               " --trace 0")
+    command = "python3 perfbench/run.py --workload W --seed S --trace 0"
     result = {
         "description": (
             f"End-to-end metrics of the perfbench workloads, parent commit vs this change: "
             f"{args.seeds} alternating pairs per workload (seeds 1-{args.seeds}, the side that "
-            f"runs first alternates), each run `{command}` in a copy of the parent commit "
-            "and a copy of the working tree on the same machine."),
+            f"runs first alternates), each run `{command}` for {spec['run_seconds']} s in a copy "
+            "of the parent commit and a copy of the working tree on the same machine."),
         "parent_commit": commit,
         "command": command,
         "machine": None,
         "workloads": {},
     }
-    for workload in args.workload or workloads:
+    for workload in workloads:
         runs = {"parent": [], "change": []}
         for seed in range(1, args.seeds + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(run(checkouts[side], workload, seed, args.seconds))
+                runs[side].append(run(checkouts[side], workload, seed))
             print(f"{workload} seed {seed}: wall_s parent "
                   f"{runs['parent'][-1]['metrics']['wall_s']['value']:.4g}, change "
                   f"{runs['change'][-1]['metrics']['wall_s']['value']:.4g}", flush=True)

@@ -15,8 +15,8 @@ counter r * ceil(width / 2) and a whole block is one vectorized draw. Any
 partition of the ensemble across batches, chunks or threads therefore
 reproduces identical numbers. An intensity is a sum over pairs of path
 amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a basis of
-width w with w * w < columns reduces the ensemble on those w * w pair
-features instead of forming a field per column (_batch_moments).
+width w <= MAX_PAIR_WIDTH with w * w < columns reduces the ensemble on those
+w * w pair features instead of forming a field per column (_batch_moments).
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -50,6 +50,12 @@ MIN_EMITTERS = 64
 # memory for any n_realizations.
 N_BATCHES = 10
 CHUNK_VALUES = 2**18
+
+# Widest path basis whose ensemble reduces on pairs of amplitudes: a mask has
+# at most four legs. The pair reduction's Gram matrix grows as w**4 per
+# realization and its coefficient matrix as w * w per column, so the wide
+# bases behind tilted mirrors form their fields instead.
+MAX_PAIR_WIDTH = 4
 
 
 def check_ensemble_size(n_realizations: int, n_emitters: int) -> None:
@@ -288,22 +294,13 @@ def _amplitude_block(
     return amplitudes
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j of a basis of this width, built once and read-only."""
-    indices = np.triu_indices(width, 1)
-    for index in indices:
-        index.flags.writeable = False
-    return indices
-
-
 def _pair_features(amplitudes):
     """The w * w real quadratic features V of each row of path amplitudes a.
 
     Columns are |a_i|^2, then Re and Im of conj(a_i) * a_j for the pairs
-    i < j of _pair_indices; _pair_coefficients gives their weights.
+    i < j in np.triu_indices order; _pair_coefficients gives their weights.
     """
-    first, second = _pair_indices(amplitudes.shape[1])
+    first, second = np.triu_indices(amplitudes.shape[1], 1)
     products = amplitudes[:, first].conj() * amplitudes[:, second]
     squares = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
     return np.hstack([squares, products.real, products.imag])
@@ -316,7 +313,7 @@ def _pair_coefficients(kernel):
     column per kernel column: |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
     and the terms (i, j) and (j, i) of that sum are complex conjugates.
     """
-    first, second = _pair_indices(kernel.shape[0])
+    first, second = np.triu_indices(kernel.shape[0], 1)
     cross = 2.0 * kernel[first].conj() * kernel[second]
     squares = kernel.real * kernel.real + kernel.imag * kernel.imag
     return np.vstack([squares, cross.real, -cross.imag])
@@ -333,9 +330,9 @@ def _batch_moments(source, seed, start, count, kernel, coefficients=None):
     the batch sums are s @ W_C, s @ W_T and the column sums of
     W_C * (G @ W_T). That costs O(w^4) per realization for a basis of width
     w, whatever the number of columns; _ensemble_moments passes W when
-    w * w < columns. Either way the batch is walked in chunks of
-    CHUNK_VALUES // (width + columns) rows, so memory does not grow with the
-    batch.
+    w <= MAX_PAIR_WIDTH and w * w < columns. Either way the batch is walked
+    in chunks of CHUNK_VALUES // (width + columns) rows, so memory does not
+    grow with the batch.
     """
     width, columns = kernel.shape
     half = columns // 2
@@ -371,18 +368,19 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     of the m-th detector pair or angle setting, and a realization draws one
     amplitude per row, once whatever M is. Every intensity is a sum over
     pairs of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
-    so when the basis width w and the 2 * M columns satisfy w * w < columns,
-    as on every truth table and on mask scans of more than a few points, the
-    batches reduce on those pairs and form no arm field (_batch_moments):
-    their cost per realization does not grow with M. Wider bases, as behind
-    tilted mirrors, form the fields. Returns, per column, the mean C
-    intensity, the intensity covariance and its batch-means stderr over
-    N_BATCHES batches.
+    so when the basis width w and the 2 * M columns satisfy
+    w <= MAX_PAIR_WIDTH and w * w < columns, as on every truth table and on
+    mask scans of more than a few points, the batches reduce on those pairs
+    and form no arm field (_batch_moments): their cost per realization does
+    not grow with M. Wider bases, as behind tilted mirrors, form the fields
+    whatever M is. Returns, per column, the mean C intensity, the intensity
+    covariance and its batch-means stderr over N_BATCHES batches.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
     kernel = np.hstack([kernel_c, kernel_t])
     width, columns = kernel.shape
-    coefficients = _pair_coefficients(kernel) if width * width < columns else None
+    pairs = width <= MAX_PAIR_WIDTH and width * width < columns
+    coefficients = _pair_coefficients(kernel) if pairs else None
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
     jobs = [(source, seed, lo, hi - lo, kernel, coefficients) for lo, hi in zip(edges, edges[1:])]
     workers = worker_count()

@@ -496,6 +496,25 @@ def test_estimate_points_do_not_depend_on_grid_shape():
     assert scan.raw_values[50] == pytest.approx(single.raw_values[0], rel=1e-9)
 
 
+def test_wide_mz_scan_forms_fields(monkeypatch):
+    """An MZ basis as wide as its 64 emitters forms fields, even with w * w < columns."""
+    batches = []
+    batch_moments = montecarlo._batch_moments
+
+    def record(source, seed, start, count, kernel, coefficients=None):
+        batches.append((kernel.shape, coefficients))
+        return batch_moments(source, seed, start, count, kernel, coefficients)
+
+    monkeypatch.setattr(montecarlo, "_batch_moments", record)
+    xs = np.linspace(-1e-3, 1e-3, 2101)
+    grid = np.column_stack([xs, -xs])
+    estimate_dn_corr(mz_setup(), grid, 100, seed=4, angles=QUARTER_ANGLES, n_emitters=64)
+    assert len(batches) == montecarlo.N_BATCHES
+    for (width, columns), coefficients in batches:
+        assert width == 64 and width * width < columns
+        assert coefficients is None
+
+
 def test_truth_table_estimate_recovers_permutation_structure():
     table = estimate_truth_table(
         gate_setup(), 0.0, 0.0, n_realizations=1000, seed=23, n_emitters=64
