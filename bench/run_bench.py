@@ -79,21 +79,33 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per-metric medians, parent quartiles and better pairs, then failures and the gate."""
+def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per-metric medians, parent quartiles, better pairs and verdicts, then failures.
+
+    For each end-to-end metric of BENCHMARK.json (name, better, bound), gain is
+    true when the change is better in at least 9/10 of the pairs, ties counting
+    for neither, and its median is better than the parent's by more than the
+    parent's q3 - q1; within_bound is true when the change median is not worse
+    than the parent median by more than bound x the parent median.
+    """
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         parent, change = values["parent"], values["change"]
         q1, _, q3 = statistics.quantiles(parent, n=4)
-        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        improvement = parent_median - change_median if lower else change_median - parent_median
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "parent_q1": q1,
             "parent_q3": q3,
             "change_better_pairs": wins,
             "pairs": len(parent),
+            "gain": 10 * wins >= 9 * len(parent) and improvement > q3 - q1,
+            "within_bound": -improvement <= metric["bound"] * parent_median,
             "parent_runs": parent,
             "change_runs": change,
         }
@@ -122,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
 
     commit = git("rev-parse", "--short", args.parent)
     checkouts = {"parent": unpack(commit, scratch), "change": snapshot(scratch)}
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     command = "python3 perfbench/run.py --workload W --seed S --trace 0"
     result = {
         "description": (
@@ -145,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{runs['parent'][-1]['metrics']['wall_s']['value']:.4g}, change "
                   f"{runs['change'][-1]['metrics']['wall_s']['value']:.4g}", flush=True)
         result["machine"] = runs["change"][-1]["machine"]
-        result["workloads"][workload] = summarize(runs, better)
+        result["workloads"][workload] = summarize(runs, spec["end_to_end"])
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

@@ -363,17 +363,39 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     Every cell is `%.17g`, 17 significant digits, which round-trips any double
     exactly. Each block of rows is one `%` call on a repeated row template, so
     no Python code runs per cell. labels, when given, lead each row as a string.
+
+    A column whose float64 bits equal an earlier column's (x_T on a diagonal
+    scan) is formatted once per block, and every position that repeats it
+    takes those strings through `%s`. The test is on bits, not `==`: -0.0 and
+    0.0 compare equal but print as `-0` and `0`, so only bit equality keeps
+    every output byte.
     """
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    if labels is not None:
-        row = "%s," + row
-        table = np.column_stack([np.asarray(labels, dtype=object), table.astype(object)])
+    bits = table.view(np.uint64)
+    n_columns = table.shape[1]
+    first = [next(i for i in range(j + 1) if np.array_equal(bits[:, i], bits[:, j]))
+             for j in range(n_columns)]
+    positions = {j: [p for p in range(n_columns) if first[p] == j] for j in set(first)}
+    shared = {j for j, where in positions.items() if len(where) > 1}
+    cells = ["%s" if first[p] in shared else "%.17g" for p in range(n_columns)]
+    lead = 0 if labels is None else 1
+    row = ",".join(["%s"] * lead + cells) + "\n"
+    width = lead + n_columns
     with path.open("w") as fh:
         fh.write("\n".join(head) + "\n")
         for start in range(0, len(table), _ROWS_PER_BLOCK):
             block = table[start:start + _ROWS_PER_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            n = len(block)
+            args = [None] * (n * width)
+            if lead:
+                args[0::width] = labels[start:start + n]
+            for j, where in positions.items():
+                column = block[:, j].tolist()
+                if j in shared:
+                    column = (("%.17g\n" * n) % tuple(column)).split("\n")[:-1]
+                for p in where:
+                    args[lead + p::width] = column
+            fh.write((row * n) % tuple(args))
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:
@@ -444,7 +466,9 @@ def _report_problems(problems: list[Violation], strict: bool) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _load_config(args)
     report = run(config)
+    tic = time.perf_counter()
     written = emit(report, args.out)
+    report.timings["emit"] = time.perf_counter() - tic
     for path in written:
         print(f"wrote {path}")
     for mode, seconds in report.timings.items():

@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,7 +210,10 @@ def test_scan_writes_pattern_with_preamble(tmp_path, capsys):
     config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL)
     out = tmp_path / "out"
     assert main(["scan", "--config", config, "--out", str(out)]) == 0
-    assert "wrote" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote")
+    assert [line.split(":")[0] for line in lines[1:]] == ["exact", "emit"]
+    assert re.fullmatch(r"emit: \d+\.\d{3} s", lines[-1])
     preamble, header, rows = read_csv(out / "scan_exact.csv")
     assert preamble["kind"] == "basic"
     assert preamble["pattern_mode"] == "exact"
@@ -352,6 +357,55 @@ def test_emit_matches_per_cell_formatting(tmp_path):
     assert_cells_round_trip(
         out / "scan_compare.csv", [row[1:] for row in compare_rows], first_column=1
     )
+
+
+def repeated_column_grid(case):
+    """Grids whose x_T column repeats x_C bit for bit, or all but the sign of zero."""
+    if case == "signed-zero":
+        x_c = np.array([0.0, -0.0, 1e-5, 0.0, -0.0, -2e-5])
+        x_t = x_c.copy()
+        x_t[x_c == 0.0] *= -1.0
+        return np.column_stack([x_c, x_t])
+    x = np.linspace(-2e-4, 2e-4, 2 * cli._ROWS_PER_BLOCK + 3 if case == "long" else 9)
+    return np.column_stack([x, x])
+
+
+@pytest.mark.parametrize("case", ["diagonal", "signed-zero", "long"])
+def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
+    config = parse_config(write_config(tmp_path, BASIC_SETUP))
+    grid = repeated_column_grid(case)
+    values = 1.0 + np.cos(grid[:, 0] * 1e4)
+    values[::2] = np.abs(grid[::2, 1])
+    magnitude = np.abs(grid[:, 1])
+    patterns = {
+        "exact": CorrelationPattern(grid, values, "exact"),
+        "mc": CorrelationPattern(grid, magnitude, "monte-carlo", stderr=magnitude.copy()),
+    }
+    out = tmp_path / "out"
+    emit(make_report(config, grid, patterns), out)
+    head = preamble_lines(config)
+    for mode, table, header in (
+        ("exact", np.column_stack([grid, values]), "x_C,x_T,value"),
+        ("mc", np.column_stack([grid, magnitude, magnitude]), "x_C,x_T,value,stderr"),
+    ):
+        expected = per_cell_csv(head + [f"# pattern_mode={patterns[mode].mode}", header],
+                                table.tolist())
+        assert (out / f"scan_{mode}.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_memory_stays_flat_in_rows(tmp_path):
+    def peak(n):
+        x = np.linspace(-2e-4, 2e-4, n)
+        table = np.column_stack([x, x, np.cos(x * 1e4)])
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "table.csv", ["x_C,x_T,value"], table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4096)
+    assert peak(65536) <= 1.25 * peak(4096)
 
 
 def test_emit_on_empty_grid_writes_preamble_and_header(tmp_path):
