@@ -41,7 +41,6 @@ from .montecarlo import (
     compare_patterns,
     estimate_dn_corr,
     estimate_truth_table,
-    worker_count,
 )
 from .patterns import SCAN_AXES, evaluate_pattern, make_grid
 
@@ -71,10 +70,6 @@ configuration file sections and defaults:
   [run]    mode=exact|asymptotic|mc|all (default exact)
   [mc]     n_realizations (default 10000, at least {MIN_REALIZATIONS}),
            n_emitters (default 256, at least {MIN_EMITTERS}), seed (default 0)
-
-environment:
-  GHOSTFRINGE_THREADS caps ensemble worker threads (results are identical
-  for any thread count)
 
 exit codes:
   0 success, 1 error, 2 condition-margin violations with --strict-conditions
@@ -381,6 +376,9 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     lead = 0 if labels is None else 1
     row = ",".join(["%s"] * lead + cells) + "\n"
     width = lead + n_columns
+    # A new file, not the old one truncated: rewriting an inode in place costs
+    # more than unlinking it, and a hard link to the old output keeps its bytes.
+    path.unlink(missing_ok=True)
     with path.open("w") as fh:
         fh.write("\n".join(head) + "\n")
         for start in range(0, len(table), _ROWS_PER_BLOCK):
@@ -448,8 +446,6 @@ def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str)
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = parse_config(args.config)
-    # A malformed thread count is a configuration error: fail before any compute.
-    worker_count()
     if getattr(args, "mode", None):
         config = replace(config, mode=args.mode)
     if getattr(args, "seed", None) is not None:

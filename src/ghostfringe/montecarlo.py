@@ -11,12 +11,13 @@ draws one amplitude per vector of an orthonormal basis of those legs
 Amplitudes come from the counter-based Philox generator keyed by
 (seed, width): each takes two 53-bit uniforms, turned into a circular complex
 Gaussian by the Box-Muller transform, so realization r always starts at
-counter r * ceil(width / 2) and a whole block is one vectorized draw. Any
-partition of the ensemble across batches, chunks or threads therefore
-reproduces identical numbers. An intensity is a sum over pairs of path
-amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a basis of
-width w <= MAX_PAIR_WIDTH with w * w < columns reduces the ensemble on those
-w * w pair features instead of forming a field per column (_batch_moments).
+counter r * ceil(width / 2) and a whole block is one vectorized draw: any
+partition of the ensemble into chunks draws identical amplitudes. The
+ensemble is walked once in chunks that ignore the batch edges, and each chunk
+is split at those edges (_ensemble_moments). An intensity is a sum over pairs
+of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a
+basis of width w <= MAX_PAIR_WIDTH with w * w < columns reduces the ensemble
+on those w * w pair features instead of forming a field per column.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -25,8 +26,6 @@ the normalized correlations this module reports.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,16 +37,14 @@ from .gate import BASIS_LABELS, TruthTable, basis_table, envelope_power
 
 _UINT64_MASK = (1 << 64) - 1
 
-THREADS_ENV_VAR = "GHOSTFRINGE_THREADS"
-
 # Smallest ensemble the estimators accept: fewer realizations leave the
 # batch-means stderr meaningless, fewer emitters under-resolve the slit.
 MIN_REALIZATIONS = 100
 MIN_EMITTERS = 64
 
 # Batches of the batch-means stderr, and the complex values (drawn amplitudes
-# plus arm fields) one chunk of a batch may hold, which bounds the ensemble's
-# memory for any n_realizations.
+# plus arm fields) one chunk of the ensemble may hold, which bounds its memory
+# for any n_realizations.
 N_BATCHES = 10
 CHUNK_VALUES = 2**18
 
@@ -256,17 +253,6 @@ class EnsembleEstimate:
         return self.pattern.stderr
 
 
-def worker_count() -> int:
-    """Ensemble worker threads from GHOSTFRINGE_THREADS; unset or empty means 1."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
 def _amplitude_block(
     source: SourceModel, seed: int, start: int, count: int, width: int | None = None
 ) -> np.ndarray:
@@ -294,16 +280,32 @@ def _amplitude_block(
     return amplitudes
 
 
-def _pair_features(amplitudes):
-    """The w * w real quadratic features V of each row of path amplitudes a.
+@lru_cache(maxsize=MAX_PAIR_WIDTH)
+def _pairs(width: int):
+    """np.triu_indices(width, 1), the pairs i < j of a basis of that width, read-only.
+
+    Only the pair reduction asks, so the widths are 1 .. MAX_PAIR_WIDTH.
+    """
+    pairs = np.triu_indices(width, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _pair_features(amplitudes, out):
+    """Fill out[:, :w * w] with the w * w real quadratic features of each row of amplitudes a.
 
     Columns are |a_i|^2, then Re and Im of conj(a_i) * a_j for the pairs
     i < j in np.triu_indices order; _pair_coefficients gives their weights.
+    Further columns of out are left as they are. Returns out.
     """
-    first, second = np.triu_indices(amplitudes.shape[1], 1)
+    width = amplitudes.shape[1]
+    first, second = _pairs(width)
     products = amplitudes[:, first].conj() * amplitudes[:, second]
-    squares = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
-    return np.hstack([squares, products.real, products.imag])
+    out[:, :width] = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+    out[:, width:width + len(first)] = products.real
+    out[:, width + len(first):width * width] = products.imag
+    return out
 
 
 def _pair_coefficients(kernel):
@@ -313,51 +315,10 @@ def _pair_coefficients(kernel):
     column per kernel column: |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
     and the terms (i, j) and (j, i) of that sum are complex conjugates.
     """
-    first, second = np.triu_indices(kernel.shape[0], 1)
+    first, second = _pairs(kernel.shape[0])
     cross = 2.0 * kernel[first].conj() * kernel[second]
     squares = kernel.real * kernel.real + kernel.imag * kernel.imag
     return np.vstack([squares, cross.real, -cross.imag])
-
-
-def _batch_moments(source, seed, start, count, kernel, coefficients=None):
-    """Sums of I_C, I_T and I_C * I_T over one batch, per column of [K_C | K_T].
-
-    Without coefficients, each chunk forms the arm fields amplitudes @ kernel
-    and squares them. With the kernel's pair coefficients W
-    (_pair_coefficients), each intensity is V @ W on the chunk's pair
-    features V, by |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j; a chunk
-    then only adds to the feature sum s and the Gram matrix G = V^T V, and
-    the batch sums are s @ W_C, s @ W_T and the column sums of
-    W_C * (G @ W_T). That costs O(w^4) per realization for a basis of width
-    w, whatever the number of columns; _ensemble_moments passes W when
-    w <= MAX_PAIR_WIDTH and w * w < columns. Either way the batch is walked
-    in chunks of CHUNK_VALUES // (width + columns) rows, so memory does not
-    grow with the batch.
-    """
-    width, columns = kernel.shape
-    half = columns // 2
-    rows = max(1, CHUNK_VALUES // (width + columns))
-    chunks = (
-        _amplitude_block(source, seed, first, min(rows, start + count - first), width)
-        for first in range(start, start + count, rows)
-    )
-    if coefficients is not None:
-        totals, gram = np.zeros(len(coefficients)), np.zeros((len(coefficients),) * 2)
-        for amplitudes in chunks:
-            features = _pair_features(amplitudes)
-            totals += features.sum(axis=0)
-            gram += features.T @ features
-        w_c, w_t = coefficients[:, :half], coefficients[:, half:]
-        return np.array([totals @ w_c, totals @ w_t, np.einsum("fm,fm->m", w_c, gram @ w_t)])
-    sums = np.zeros((3, half))
-    for amplitudes in chunks:
-        intensities = np.abs(amplitudes @ kernel)
-        intensities *= intensities
-        i_c, i_t = intensities[:, :half], intensities[:, half:]
-        sums[0] += i_c.sum(axis=0)
-        sums[1] += i_t.sum(axis=0)
-        sums[2] += np.einsum("ij,ij->j", i_c, i_t)
-    return sums
 
 
 def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
@@ -366,34 +327,71 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     kernel_c and kernel_t are (width, M) propagation matrices in the path
     basis of the setup (_path_basis): column m gives the C and T arm fields
     of the m-th detector pair or angle setting, and a realization draws one
-    amplitude per row, once whatever M is. Every intensity is a sum over
-    pairs of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
-    so when the basis width w and the 2 * M columns satisfy
-    w <= MAX_PAIR_WIDTH and w * w < columns, as on every truth table and on
-    mask scans of more than a few points, the batches reduce on those pairs
-    and form no arm field (_batch_moments): their cost per realization does
-    not grow with M. Wider bases, as behind tilted mirrors, form the fields
-    whatever M is. Returns, per column, the mean C intensity, the intensity
-    covariance and its batch-means stderr over N_BATCHES batches.
+    amplitude per row, once whatever M is. The realizations are walked from 0
+    in chunks of CHUNK_VALUES // (width + 2 * M) rows, so memory does not grow
+    with n_realizations, and each chunk is split at the edges of the
+    N_BATCHES batches into per-batch sums of I_C, I_T and I_C * I_T.
+
+    Every intensity is a sum over pairs of path amplitudes,
+    |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
+    and the 2 * M columns satisfy w <= MAX_PAIR_WIDTH and w * w < columns, as
+    on every truth table and on mask scans of more than a few points, no arm
+    field is formed: each piece of a chunk adds P^T P to its batch, where P
+    holds the w * w pair features V (_pair_features) and a last column of
+    ones, so one product gives the Gram matrix V^T V and, in its last row,
+    the feature sums s. The batch sums are then s @ W_C, s @ W_T and the
+    column sums of W_C * (V^T V @ W_T) with the pair coefficients W
+    (_pair_coefficients), at a cost per realization that does not grow with
+    M. Wider bases, as behind tilted mirrors, form the fields whatever M is.
+    Returns, per column, the mean C intensity, the intensity covariance and
+    its batch-means stderr over N_BATCHES batches.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
     kernel = np.hstack([kernel_c, kernel_t])
     width, columns = kernel.shape
-    pairs = width <= MAX_PAIR_WIDTH and width * width < columns
-    coefficients = _pair_coefficients(kernel) if pairs else None
+    half = columns // 2
+    rows = max(1, CHUNK_VALUES // (width + columns))
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
-    jobs = [(source, seed, lo, hi - lo, kernel, coefficients) for lo, hi in zip(edges, edges[1:])]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _batch_moments(*args), jobs))
+    pairs = width <= MAX_PAIR_WIDTH and width * width < columns
+    if pairs:
+        features = np.empty((min(rows, n_realizations), width * width + 1))
+        features[:, -1] = 1.0
+        grams = np.zeros((N_BATCHES, width * width + 1, width * width + 1))
     else:
-        results = [_batch_moments(*job) for job in jobs]
+        sums = np.zeros((N_BATCHES, 3, half))
+    for first in range(0, n_realizations, rows):
+        count = min(rows, n_realizations - first)
+        amplitudes = _amplitude_block(source, seed, first, count, width)
+        if pairs:
+            values = _pair_features(amplitudes, features[:count])
+        else:
+            values = np.abs(amplitudes @ kernel)
+            values *= values
+        for batch in range(N_BATCHES):
+            lo = max(edges[batch], first) - first
+            hi = min(edges[batch + 1], first + count) - first
+            if lo >= hi:
+                continue
+            part = values[lo:hi]
+            if pairs:
+                grams[batch] += part.T @ part
+            else:
+                i_c, i_t = part[:, :half], part[:, half:]
+                sums[batch, 0] += i_c.sum(axis=0)
+                sums[batch, 1] += i_t.sum(axis=0)
+                sums[batch, 2] += np.einsum("ij,ij->j", i_c, i_t)
+    if pairs:
+        coefficients = _pair_coefficients(kernel)
+        w_c, w_t = coefficients[:, :half], coefficients[:, half:]
+        totals, gram = grams[:, -1, :-1], grams[:, :-1, :-1]
+        sums = np.stack(
+            [totals @ w_c, totals @ w_t, np.einsum("fm,bfm->bm", w_c, gram @ w_t)], axis=1
+        )
 
-    batch_means = np.array(results) / np.diff(edges)[:, None, None]
+    batch_means = sums / np.diff(edges)[:, None, None]
     batch_covs = batch_means[:, 2] - batch_means[:, 0] * batch_means[:, 1]
     stderr = batch_covs.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
-    mean_c, mean_t, mean_ct = np.sum(results, axis=0) / n_realizations
+    mean_c, mean_t, mean_ct = sums.sum(axis=0) / n_realizations
     return mean_c, mean_ct - mean_c * mean_t, stderr
 
 
@@ -413,8 +411,7 @@ def estimate_dn_corr(
     normalized to its maximum with batch-means standard errors (same scale).
     For pinhole-mask setups the envelope power is constant along any detector
     scan, so only tilted-mirror patterns are reshaped by it. Identical
-    arguments give bit-identical results; the GHOSTFRINGE_THREADS environment
-    variable caps worker threads without changing any value.
+    arguments give bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 2:
@@ -456,7 +453,7 @@ def estimate_mean_intensity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-detector mean intensity over a position scan, with its stderr.
 
-    All positions share one ensemble pass of the batch engine, with the arm's
+    All positions share one ensemble pass (_ensemble_moments), with the arm's
     kernel on both sides so its covariance is the per-realization intensity
     variance; the stderr is sqrt(variance / n_realizations). A mask scan of
     three or more positions reduces on path-amplitude pairs, where the
@@ -545,7 +542,6 @@ __all__ = [
     "MIN_REALIZATIONS",
     "Realization",
     "SourceModel",
-    "THREADS_ENV_VAR",
     "check_ensemble_size",
     "compare_patterns",
     "estimate_dn_corr",
@@ -554,5 +550,4 @@ __all__ = [
     "field_at_detector",
     "free_field",
     "sample_realization",
-    "worker_count",
 ]

@@ -279,11 +279,10 @@ def test_scan_output_is_reproducible_from_preamble(tmp_path):
     assert (first / "scan_mc.csv").read_bytes() == (second / "scan_mc.csv").read_bytes()
 
 
-def test_scan_deterministic_across_threads(tmp_path, monkeypatch):
+def test_scan_deterministic_across_threads(tmp_path):
     config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
     first = tmp_path / "first"
     main(["scan", "--config", config, "--mode", "mc", "--out", str(first)])
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "2")
     second = tmp_path / "second"
     main(["scan", "--config", config, "--mode", "mc", "--out", str(second)])
     assert (first / "scan_mc.csv").read_bytes() == (second / "scan_mc.csv").read_bytes()
@@ -408,6 +407,19 @@ def test_write_csv_memory_stays_flat_in_rows(tmp_path):
     assert peak(65536) <= 1.25 * peak(4096)
 
 
+def test_write_csv_replaces_the_file_instead_of_rewriting_it(tmp_path):
+    """A hard link to the old output keeps the old bytes; the path holds only the new ones."""
+    path, link = tmp_path / "table.csv", tmp_path / "old.csv"
+    long_table = np.column_stack([np.linspace(-2e-4, 2e-4, 50), np.arange(50.0)])
+    cli._write_csv(path, ["x_C,value"], long_table)
+    old = path.read_bytes()
+    os.link(path, link)
+    short_table = [[1e-5, 0.5], [-0.0, 2.0]]
+    cli._write_csv(path, ["x_C,value"], short_table, labels=["a", "b"])
+    assert link.read_bytes() == old
+    assert path.read_text() == per_cell_csv(["x_C,value"], [["a", 1e-5, 0.5], ["b", -0.0, 2.0]])
+
+
 def test_emit_on_empty_grid_writes_preamble_and_header(tmp_path):
     config = parse_config(write_config(tmp_path, BASIC_SETUP))
     grid = np.empty((0, 2))
@@ -445,31 +457,6 @@ def test_python_m_ghostfringe_runs_the_cli():
     assert result.stdout.startswith("usage: ghostfringe")
     assert f"n_realizations (default 10000, at least {MIN_REALIZATIONS})" in result.stdout
     assert f"n_emitters (default 256, at least {MIN_EMITTERS})" in result.stdout
-
-
-def test_empty_thread_count_means_unset(tmp_path, monkeypatch):
-    config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
-    monkeypatch.delenv("GHOSTFRINGE_THREADS", raising=False)
-    unset = tmp_path / "unset"
-    main(["scan", "--config", config, "--mode", "mc", "--out", str(unset)])
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "")
-    empty = tmp_path / "empty"
-    assert main(["scan", "--config", config, "--mode", "mc", "--out", str(empty)]) == 0
-    assert (unset / "scan_mc.csv").read_bytes() == (empty / "scan_mc.csv").read_bytes()
-
-
-def test_malformed_thread_count_rejected_before_compute(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "two")
-    runs = (
-        ("scan", BASIC_SETUP + SCAN_SMALL + MC_SMALL),
-        ("truth-table", GATE_SETUP + MC_SMALL),
-    )
-    for command, text in runs:
-        config = write_config(tmp_path, text + "\n[run]\nmode = all\n", f"{command}.ini")
-        out = tmp_path / command
-        assert main([command, "--config", config, "--out", str(out)]) == 1
-        assert not out.exists(), f"{command} wrote output before rejecting the thread count"
-        assert "GHOSTFRINGE_THREADS must be an integer, got 'two'" in capsys.readouterr().err
 
 
 def test_seed_override_changes_ensemble(tmp_path):

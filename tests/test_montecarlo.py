@@ -364,24 +364,14 @@ def test_estimator_input_validation():
         estimate_mean_intensity(basic_setup(), "C", [0.0], n_realizations=50, seed=0)
 
 
-def test_estimate_is_deterministic(monkeypatch):
+def test_estimate_is_deterministic():
     setup = basic_setup()
     grid = make_grid("x_C", 0.0, 2e-5, 1e-5)
     first = estimate_dn_corr(setup, grid, n_realizations=300, seed=5, n_emitters=64)
     second = estimate_dn_corr(setup, grid, n_realizations=300, seed=5, n_emitters=64)
     assert np.array_equal(first.pattern.values, second.pattern.values)
     assert np.array_equal(first.raw_stderr, second.raw_stderr)
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "2")
-    threaded = estimate_dn_corr(setup, grid, n_realizations=300, seed=5, n_emitters=64)
-    assert np.array_equal(first.pattern.values, threaded.pattern.values)
-    assert np.array_equal(first.raw_values, threaded.raw_values)
-
-
-def test_invalid_thread_count_rejected(monkeypatch):
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "two")
-    grid = make_grid("x_C", 0.0, 1e-5, 1e-5)
-    with pytest.raises(ValueError, match="GHOSTFRINGE_THREADS"):
-        estimate_dn_corr(basic_setup(), grid, n_realizations=200, seed=0, n_emitters=64)
+    assert np.array_equal(first.raw_values, second.raw_values)
 
 
 def test_estimate_has_positive_errors_and_peak_one():
@@ -496,23 +486,33 @@ def test_estimate_points_do_not_depend_on_grid_shape():
     assert scan.raw_values[50] == pytest.approx(single.raw_values[0], rel=1e-9)
 
 
-def test_wide_mz_scan_forms_fields(monkeypatch):
+def _pair_feature_calls(estimate):
+    """Rows that _pair_features reduced while running estimate()."""
+    rows = []
+    original = montecarlo._pair_features
+
+    def recording(amplitudes, out):
+        rows.append(len(amplitudes))
+        return original(amplitudes, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_pair_features", recording)
+        result = estimate()
+    return rows, result
+
+
+def test_wide_mz_scan_forms_fields():
     """An MZ basis as wide as its 64 emitters forms fields, even with w * w < columns."""
-    batches = []
-    batch_moments = montecarlo._batch_moments
-
-    def record(source, seed, start, count, kernel, coefficients=None):
-        batches.append((kernel.shape, coefficients))
-        return batch_moments(source, seed, start, count, kernel, coefficients)
-
-    monkeypatch.setattr(montecarlo, "_batch_moments", record)
     xs = np.linspace(-1e-3, 1e-3, 2101)
     grid = np.column_stack([xs, -xs])
-    estimate_dn_corr(mz_setup(), grid, 100, seed=4, angles=QUARTER_ANGLES, n_emitters=64)
-    assert len(batches) == montecarlo.N_BATCHES
-    for (width, columns), coefficients in batches:
-        assert width == 64 and width * width < columns
-        assert coefficients is None
+    assert 64 * 64 < 2 * len(grid)
+
+    def estimate():
+        return estimate_dn_corr(mz_setup(), grid, 100, seed=4, angles=QUARTER_ANGLES, n_emitters=64)
+
+    rows, widths = _pair_feature_calls(lambda: _drawn_widths(estimate))
+    assert widths == {64}
+    assert rows == []
 
 
 def test_truth_table_estimate_recovers_permutation_structure():
@@ -584,15 +584,11 @@ def test_truth_table_matches_per_setting_loop(setup):
     )
 
 
-def test_truth_table_is_deterministic_across_threads(monkeypatch):
-    monkeypatch.delenv("GHOSTFRINGE_THREADS", raising=False)
-    serial = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
-    monkeypatch.setenv("GHOSTFRINGE_THREADS", "2")
-    threaded = estimate_truth_table(
-        mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64
-    )
-    assert np.array_equal(serial.values, threaded.values)
-    assert np.array_equal(serial.stderr, threaded.stderr)
+def test_truth_table_is_deterministic_across_threads():
+    first = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
+    second = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.stderr, second.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +719,13 @@ def test_path_basis_spans_every_mz_kernel(case):
     assert widths == {min(64, len(legs_c))}
 
 
-def _field_batch_sums(source, seed, start, count, kernel):
-    """Oracle: batch sums of I_C, I_T and I_C * I_T from the arm fields |a @ K|^2."""
-    amplitudes = montecarlo._amplitude_block(source, seed, start, count, kernel.shape[0])
-    intensities = np.abs(amplitudes @ kernel) ** 2
-    i_c, i_t = np.split(intensities, 2, axis=1)
-    return np.array([i_c.sum(axis=0), i_t.sum(axis=0), (i_c * i_t).sum(axis=0)])
+def offset_mask() -> SetupBasic:
+    """Primed pinholes a fraction of l_coh from the unprimed ones: four overlapping legs."""
+    l_coh = 5e-4
+    return SetupBasic(
+        a=0.5e-3, wavelength=500e-9, z=1.0, f=1.0,
+        x1=-5e-3, x2=5e-3, x1p=-5e-3 + 0.3 * l_coh, x2p=5e-3 + 0.5 * l_coh,
+    )
 
 
 @st.composite
@@ -750,30 +747,74 @@ def pair_cases(draw):
 @given(
     pair_cases(),
     st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=100, max_value=400),
+    st.integers(min_value=1, max_value=60),
 )
-@example((gate_setup(), basis_table(gate_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 0, 200)
-@example((mz_setup(), basis_table(mz_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 0, 200)
+@example((gate_setup(), basis_table(gate_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 200, 7)
+@example((mz_setup(), basis_table(mz_setup()), [("C", [0.0]), ("T", [0.0])]), 23, 200, 7)
 @settings(max_examples=60, deadline=None)
-def test_pair_reduction_matches_field_intensities(case, seed, start, count):
-    """Batch sums from the pair-feature Gram equal those from |a @ K|^2 on the same rows."""
+def test_pair_reduction_matches_field_intensities(case, seed, n_realizations, rows):
+    """The pair-feature Gram gives the moments that |a @ K|^2 gives on the same rows.
+
+    Chunks of a few rows straddle the batch edges, so each batch sums pieces
+    of several chunks. Each arm's columns are repeated until w * w < columns,
+    which the pair branch needs; MAX_PAIR_WIDTH = 0 sends the same kernels to
+    the field branch.
+    """
     setup, table, detectors = case
     source = SourceModel(a=setup.a, n_emitters=64)
     _, kernels = montecarlo._path_basis(source, table, detectors)
-    kernel = np.hstack(kernels)
-    expected = _field_batch_sums(source, seed, start, count, kernel)
+    width, half = kernels[0].shape
+    kernels = [np.tile(kernel, width * width // (2 * half) + 1) for kernel in kernels]
+    moments = {}
     with pytest.MonkeyPatch.context() as patch:
-        # a few rows per chunk, so the Gram is summed over several chunks
-        patch.setattr(montecarlo, "CHUNK_VALUES", 16 * kernel.shape[1])
-        sums = montecarlo._batch_moments(
-            source, seed, start, count, kernel, montecarlo._pair_coefficients(kernel)
+        patch.setattr(montecarlo, "CHUNK_VALUES", rows * (width + 2 * kernels[0].shape[1]))
+        calls, moments["pairs"] = _pair_feature_calls(
+            lambda: montecarlo._ensemble_moments(source, seed, n_realizations, *kernels)
         )
-    np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        patch.setattr(montecarlo, "MAX_PAIR_WIDTH", 0)
+        moments["fields"] = montecarlo._ensemble_moments(source, seed, n_realizations, *kernels)
+    assert sum(calls) == n_realizations and max(calls) == rows
+    # the largest expected intensity, n * |k|^2 with n = 1, over both arms' columns
+    peak = max((np.abs(kernel) ** 2).sum(axis=0).max() for kernel in kernels)
+    for pairs, fields, scale in zip(moments["pairs"], moments["fields"], (peak, peak**2, peak**2)):
+        np.testing.assert_allclose(pairs, fields, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "setup, angles, grid, pairs",
+    [
+        (offset_mask(), None, make_grid("x_C", -4e-5, 4e-5, 1e-6), True),
+        (mz_setup(), QUARTER_ANGLES, make_grid("diagonal", -1e-4, 1e-4, 1e-5), False),
+    ],
+    ids=["pairs", "fields"],
+)
+def test_chunk_size_moves_moments_only_by_rounding(setup, angles, grid, pairs):
+    """Chunks that straddle the batch edges agree with the default walk to 1e-12.
+
+    The draws do not depend on the chunks, only the order of the sums does.
+    Repeated calls with one chunk size are bit-identical.
+    """
+    source = SourceModel(a=setup.a, n_emitters=64)
+    _, kernels = montecarlo._path_basis(
+        source, path_table(setup, angles), [("C", grid[:, 0]), ("T", grid[:, 1])]
+    )
+    calls, default = _pair_feature_calls(
+        lambda: montecarlo._ensemble_moments(source, 9, 1000, *kernels)
+    )
+    assert bool(calls) == pairs
+    again = montecarlo._ensemble_moments(source, 9, 1000, *kernels)
+    assert all(np.array_equal(first, second) for first, second in zip(default, again))
+    with pytest.MonkeyPatch.context() as patch:
+        # 37 rows per chunk: 28 chunks, and 9 of them cross a batch edge
+        patch.setattr(montecarlo, "CHUNK_VALUES", 37 * (kernels[0].shape[0] + 2 * len(grid)))
+        chunked = montecarlo._ensemble_moments(source, 9, 1000, *kernels)
+    for first, second in zip(default, chunked):
+        np.testing.assert_allclose(second, first, rtol=0.0, atol=1e-12 * np.abs(first).max())
 
 
 def test_ensemble_memory_does_not_grow_with_realizations():
-    """Each batch is walked in chunks of CHUNK_VALUES, so peak memory is flat in n_realizations."""
+    """The ensemble is walked in chunks of CHUNK_VALUES, so peak memory is flat in n_realizations."""
     setup = basic_setup()
     grid = make_grid("x_C", 0.0, 2e-4, 1e-6)
     # two path amplitudes and two arm fields per point in each row of a chunk
@@ -787,15 +828,6 @@ def test_ensemble_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0], peaks
-
-
-def offset_mask() -> SetupBasic:
-    """Primed pinholes a fraction of l_coh from the unprimed ones: four overlapping legs."""
-    l_coh = 5e-4
-    return SetupBasic(
-        a=0.5e-3, wavelength=500e-9, z=1.0, f=1.0,
-        x1=-5e-3, x2=5e-3, x1p=-5e-3 + 0.3 * l_coh, x2p=5e-3 + 0.5 * l_coh,
-    )
 
 
 @pytest.mark.parametrize(
