@@ -21,16 +21,13 @@ from .analytic import (
     Violation,
     b_phase,
     condition_margins,
-    dn_corr_basic,
     fringe_period_xc,
     g1_pair,
-    pattern_visibility,
     phase_phi_basic,
     violations,
 )
 from .gate import (
     TruthTable,
-    cnot_truth_table,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,

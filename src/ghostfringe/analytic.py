@@ -370,23 +370,6 @@ def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
     return np.abs(weights[..., 0] + weights[..., 1] * np.exp(1j * phi)) ** 2
 
 
-def dn_corr_basic(
-    setup: SetupBasic,
-    x_c: float,
-    x_t: float,
-    mode: str = "exact",
-    mask_quad_scale: float = 1.0,
-) -> float:
-    """Normalized fluctuation correlation of the two detectors at one point.
-
-    mode 'exact' sums all four pair contributions; mode 'asymptotic' returns
-    the two-path law |1 + exp(i*phi)|^2 and warns if the geometry does not
-    support it. Both modes peak at 4.
-    """
-    table = PathTable(setup, mask_quad_scale=mask_quad_scale)
-    return float(closed_form(table, x_c, x_t, mode))
-
-
 def fringe_period_xc(setup: SetupBasic) -> float:
     """Period wavelength*f/|x1 - x2| of the fringe scanned with detector C."""
     if setup.x1 == setup.x2:
@@ -439,15 +422,6 @@ class CorrelationPattern:
         return self.grid[:, 1]
 
 
-def pattern_visibility(values: np.ndarray) -> float:
-    """(max - min) / (max + min) of a sampled pattern."""
-    values = np.asarray(values, dtype=float)
-    hi, lo = float(values.max()), float(values.min())
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
-
-
 __all__ = [
     "CONDITIONS",
     "CorrelationPattern",
@@ -457,14 +431,12 @@ __all__ = [
     "b_phase",
     "closed_form",
     "condition_margins",
-    "dn_corr_basic",
     "envelope_power",
     "fringe_period_xc",
     "g1_pair",
     "mz_phase",
     "pair_sum",
     "path_table",
-    "pattern_visibility",
     "phase_phi_basic",
     "violations",
     "worst_margins",

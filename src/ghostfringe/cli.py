@@ -28,7 +28,7 @@ from .analytic import (
     violations,
     worst_margins,
 )
-from .gate import BASIS_LABELS, TruthTable, basis_table
+from .gate import TruthTable, basis_table
 # Not called here: perfbench/tracer.py spans the one-point gate closed forms at
 # this lookup site, and its per-layer report needs the names to exist.
 from .gate import dn_corr_gate, dn_corr_mz  # noqa: F401
@@ -36,7 +36,6 @@ from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, Setup
 from .montecarlo import (
     MIN_EMITTERS,
     MIN_REALIZATIONS,
-    EnsembleEstimate,
     check_ensemble_size,
     compare_patterns,
     estimate_dn_corr,
@@ -134,7 +133,6 @@ class RunReport:
     config: ExperimentConfig
     grid: np.ndarray
     patterns: dict[str, CorrelationPattern]
-    estimates: dict[str, EnsembleEstimate]
     comparisons: dict[str, dict[str, float]]
     margins: dict[str, float]
     problems: list[Violation]
@@ -304,7 +302,6 @@ def run(config: ExperimentConfig) -> RunReport:
     grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
     wanted = ["exact", "asymptotic", "mc"] if config.mode == "all" else [config.mode]
     patterns: dict[str, CorrelationPattern] = {}
-    estimates: dict[str, EnsembleEstimate] = {}
     timings: dict[str, float] = {}
     # conditions_report checks the whole grid for every mode, so the closed
     # forms' own warnings would only repeat it.
@@ -313,20 +310,18 @@ def run(config: ExperimentConfig) -> RunReport:
         for mode in wanted:
             tic = time.perf_counter()
             if mode == "mc":
-                estimate = estimate_dn_corr(
+                patterns[mode] = estimate_dn_corr(
                     config.setup, grid, config.n_realizations, config.seed,
                     angles=config.angles, n_emitters=config.n_emitters,
-                )
-                estimates[mode] = estimate
-                patterns[mode] = estimate.pattern
+                ).pattern
             else:
                 patterns[mode] = evaluate_pattern(config.setup, grid, mode, angles=config.angles)
             timings[mode] = time.perf_counter() - tic
 
     comparisons: dict[str, dict[str, float]] = {}
     for mode in ("exact", "asymptotic"):
-        if mode in patterns and "mc" in estimates:
-            comparisons[f"{mode}_vs_mc"] = compare_patterns(patterns[mode], estimates["mc"])
+        if mode in patterns and "mc" in patterns:
+            comparisons[f"{mode}_vs_mc"] = compare_patterns(patterns[mode], patterns["mc"])
     if "exact" in patterns and "asymptotic" in patterns:
         comparisons["exact_vs_asymptotic"] = compare_patterns(
             patterns["exact"], patterns["asymptotic"]
@@ -334,7 +329,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
     margins, problems = conditions_report(config, grid)
     return RunReport(
-        config=config, grid=grid, patterns=patterns, estimates=estimates,
+        config=config, grid=grid, patterns=patterns,
         comparisons=comparisons, margins=margins, problems=problems, timings=timings,
     )
 
@@ -434,7 +429,7 @@ def _closed_form_table(setup, x_c: float, x_t: float, mode: str) -> TruthTable:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
         values = closed_form(basis_table(setup), x_c, x_t, mode)
-    return TruthTable(inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=values.reshape(4, 4))
+    return TruthTable(values=values.reshape(4, 4))
 
 
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
@@ -610,10 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

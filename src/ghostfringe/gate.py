@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,18 +96,21 @@ def dn_corr_mz(
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Joint probabilities over the 4 input x 4 output basis combinations."""
+    """Joint probabilities over the 4 input x 4 output basis combinations.
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
+    Rows are the inputs and columns the outputs, both in BASIS_LABELS order.
+    """
+
+    inputs: ClassVar[tuple[str, ...]] = BASIS_LABELS
+    outputs: ClassVar[tuple[str, ...]] = BASIS_LABELS
     values: np.ndarray
     stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != (len(self.inputs), len(self.outputs)):
-            raise ValueError("truth table shape does not match labels")
+        if values.shape != (4, 4):
+            raise ValueError(f"truth table must have shape (4, 4), got {values.shape}")
 
 
 def basis_angles(label: str) -> tuple[float, float]:
@@ -143,14 +147,6 @@ def basis_table(setup: SetupGate | SetupMZ) -> PathTable:
     return PathTable(setup, np.array(weights))
 
 
-def cnot_truth_table(phi: float = 0.0) -> TruthTable:
-    """Truth table of the two-path gate probability at interference phase phi."""
-    values = [p_controlled_u(angles, phi) for angles in basis_settings()]
-    return TruthTable(
-        inputs=BASIS_LABELS, outputs=BASIS_LABELS, values=np.reshape(values, (4, 4))
-    )
-
-
 __all__ = [
     "BASIS_ANGLES",
     "BASIS_LABELS",
@@ -158,7 +154,6 @@ __all__ = [
     "basis_angles",
     "basis_settings",
     "basis_table",
-    "cnot_truth_table",
     "dn_corr_gate",
     "dn_corr_mz",
     "envelope_power",

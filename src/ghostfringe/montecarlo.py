@@ -16,8 +16,8 @@ partition of the ensemble into chunks draws identical amplitudes. The
 ensemble is walked once in chunks that ignore the batch edges, and each chunk
 is split at those edges (_ensemble_moments). An intensity is a sum over pairs
 of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a
-basis of width w <= MAX_PAIR_WIDTH with w * w < columns reduces the ensemble
-on those w * w pair features instead of forming a field per column.
+basis of width w <= MAX_PAIR_WIDTH, as on every mask, reduces the ensemble on
+those w * w pair features instead of forming a field per column.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from .analytic import CorrelationPattern, PathTable, path_table
-from .gate import BASIS_LABELS, TruthTable, basis_table, envelope_power
+from .gate import TruthTable, basis_table, envelope_power
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -48,10 +48,11 @@ MIN_EMITTERS = 64
 N_BATCHES = 10
 CHUNK_VALUES = 2**18
 
-# Widest path basis whose ensemble reduces on pairs of amplitudes: a mask has
-# at most four legs. The pair reduction's Gram matrix grows as w**4 per
-# realization and its coefficient matrix as w * w per column, so the wide
-# bases behind tilted mirrors form their fields instead.
+# Widest path basis whose ensemble reduces on pairs of amplitudes, whatever
+# the number of columns: a mask has at most four legs. The pair reduction's
+# Gram matrix grows as w**4 per realization and its coefficient matrix as
+# w * w per column, so the wide bases behind tilted mirrors form their fields
+# instead.
 MAX_PAIR_WIDTH = 4
 
 
@@ -280,27 +281,15 @@ def _amplitude_block(
     return amplitudes
 
 
-@lru_cache(maxsize=MAX_PAIR_WIDTH)
-def _pairs(width: int):
-    """np.triu_indices(width, 1), the pairs i < j of a basis of that width, read-only.
-
-    Only the pair reduction asks, so the widths are 1 .. MAX_PAIR_WIDTH.
-    """
-    pairs = np.triu_indices(width, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
-def _pair_features(amplitudes, out):
+def _pair_features(amplitudes, pairs, out):
     """Fill out[:, :w * w] with the w * w real quadratic features of each row of amplitudes a.
 
     Columns are |a_i|^2, then Re and Im of conj(a_i) * a_j for the pairs
-    i < j in np.triu_indices order; _pair_coefficients gives their weights.
-    Further columns of out are left as they are. Returns out.
+    i < j, given as pairs = np.triu_indices(w, 1); _pair_coefficients gives
+    their weights. Further columns of out are left as they are. Returns out.
     """
     width = amplitudes.shape[1]
-    first, second = _pairs(width)
+    first, second = pairs
     products = amplitudes[:, first].conj() * amplitudes[:, second]
     out[:, :width] = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
     out[:, width:width + len(first)] = products.real
@@ -308,14 +297,15 @@ def _pair_features(amplitudes, out):
     return out
 
 
-def _pair_coefficients(kernel):
-    """Real (w * w, M) matrix W with |a @ kernel|^2 = _pair_features(a) @ W.
+def _pair_coefficients(kernel, pairs):
+    """Real (w * w, M) matrix W with |a @ kernel|^2 = _pair_features(a, pairs) @ W.
 
-    Rows are |k_i|^2, then 2 Re and -2 Im of conj(k_i) * k_j for i < j, one
-    column per kernel column: |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j,
-    and the terms (i, j) and (j, i) of that sum are complex conjugates.
+    Rows are |k_i|^2, then 2 Re and -2 Im of conj(k_i) * k_j for the pairs
+    i < j, one column per kernel column: |a . k|^2 = sum_ij conj(a_i) a_j
+    conj(k_i) k_j, and the terms (i, j) and (j, i) of that sum are complex
+    conjugates.
     """
-    first, second = _pairs(kernel.shape[0])
+    first, second = pairs
     cross = 2.0 * kernel[first].conj() * kernel[second]
     squares = kernel.real * kernel.real + kernel.imag * kernel.imag
     return np.vstack([squares, cross.real, -cross.imag])
@@ -334,9 +324,8 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
 
     Every intensity is a sum over pairs of path amplitudes,
     |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
-    and the 2 * M columns satisfy w <= MAX_PAIR_WIDTH and w * w < columns, as
-    on every truth table and on mask scans of more than a few points, no arm
-    field is formed: each piece of a chunk adds P^T P to its batch, where P
+    is at most MAX_PAIR_WIDTH, as on every mask, no arm field is formed
+    whatever M is: each piece of a chunk adds P^T P to its batch, where P
     holds the w * w pair features V (_pair_features) and a last column of
     ones, so one product gives the Gram matrix V^T V and, in its last row,
     the feature sums s. The batch sums are then s @ W_C, s @ W_T and the
@@ -352,8 +341,8 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     half = columns // 2
     rows = max(1, CHUNK_VALUES // (width + columns))
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
-    pairs = width <= MAX_PAIR_WIDTH and width * width < columns
-    if pairs:
+    pairs = np.triu_indices(width, 1) if width <= MAX_PAIR_WIDTH else None
+    if pairs is not None:
         features = np.empty((min(rows, n_realizations), width * width + 1))
         features[:, -1] = 1.0
         grams = np.zeros((N_BATCHES, width * width + 1, width * width + 1))
@@ -362,8 +351,8 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     for first in range(0, n_realizations, rows):
         count = min(rows, n_realizations - first)
         amplitudes = _amplitude_block(source, seed, first, count, width)
-        if pairs:
-            values = _pair_features(amplitudes, features[:count])
+        if pairs is not None:
+            values = _pair_features(amplitudes, pairs, features[:count])
         else:
             values = np.abs(amplitudes @ kernel)
             values *= values
@@ -373,15 +362,15 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
             if lo >= hi:
                 continue
             part = values[lo:hi]
-            if pairs:
+            if pairs is not None:
                 grams[batch] += part.T @ part
             else:
                 i_c, i_t = part[:, :half], part[:, half:]
                 sums[batch, 0] += i_c.sum(axis=0)
                 sums[batch, 1] += i_t.sum(axis=0)
                 sums[batch, 2] += np.einsum("ij,ij->j", i_c, i_t)
-    if pairs:
-        coefficients = _pair_coefficients(kernel)
+    if pairs is not None:
+        coefficients = _pair_coefficients(kernel, pairs)
         w_c, w_t = coefficients[:, :half], coefficients[:, half:]
         totals, gram = grams[:, -1, :-1], grams[:, :-1, :-1]
         sums = np.stack(
@@ -402,7 +391,6 @@ def estimate_dn_corr(
     seed: int,
     angles: GateAngles | None = None,
     n_emitters: int = 256,
-    mean_photon_number: float = 1.0,
 ) -> EnsembleEstimate:
     """Ensemble estimate of the fluctuation correlation over a (N, 2) grid.
 
@@ -416,7 +404,7 @@ def estimate_dn_corr(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
-    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
+    source = SourceModel(a=setup.a, n_emitters=n_emitters)
     detectors = [("C", grid[:, 0]), ("T", grid[:, 1])]
     _, kernels = _path_basis(source, path_table(setup, angles), detectors)
     _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
@@ -449,18 +437,17 @@ def estimate_mean_intensity(
     seed: int,
     angles: GateAngles | None = None,
     n_emitters: int = 256,
-    mean_photon_number: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-detector mean intensity over a position scan, with its stderr.
 
     All positions share one ensemble pass (_ensemble_moments), with the arm's
     kernel on both sides so its covariance is the per-realization intensity
-    variance; the stderr is sqrt(variance / n_realizations). A mask scan of
-    three or more positions reduces on path-amplitude pairs, where the
-    duplicate columns cost nothing per realization.
+    variance; the stderr is sqrt(variance / n_realizations). A mask scan
+    reduces on path-amplitude pairs, where the duplicate columns cost nothing
+    per realization.
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
-    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
+    source = SourceModel(a=setup.a, n_emitters=n_emitters)
     _, (kernel,) = _path_basis(source, path_table(setup, angles), [(arm, xs)])
     mean, var, _ = _ensemble_moments(source, seed, n_realizations, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
@@ -474,7 +461,6 @@ def estimate_truth_table(
     n_realizations: int,
     seed: int,
     n_emitters: int = 256,
-    mean_photon_number: float = 1.0,
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 
@@ -483,17 +469,14 @@ def estimate_truth_table(
     normalized by its largest raw entry: per-entry normalization would erase
     the scale the truth table is about.
     """
-    source = SourceModel(a=setup.a, n_emitters=n_emitters, mean_photon_number=mean_photon_number)
+    source = SourceModel(a=setup.a, n_emitters=n_emitters)
     _, kernels = _path_basis(source, basis_table(setup), [("C", [x_c]), ("T", [x_t])])
     _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
     scale = covariance.max()
     if scale <= 0.0:
         raise ValueError("truth table has no positive entry to normalize by")
     return TruthTable(
-        inputs=BASIS_LABELS,
-        outputs=BASIS_LABELS,
-        values=covariance.reshape(4, 4) / scale,
-        stderr=stderr.reshape(4, 4) / scale,
+        values=covariance.reshape(4, 4) / scale, stderr=stderr.reshape(4, 4) / scale
     )
 
 

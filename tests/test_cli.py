@@ -314,7 +314,7 @@ def assert_cells_round_trip(path, expected, first_column=0):
 
 def make_report(config, grid, patterns, comparisons=None):
     return RunReport(
-        config=config, grid=grid, patterns=patterns, estimates={},
+        config=config, grid=grid, patterns=patterns,
         comparisons=comparisons or {}, margins={}, problems=[], timings={},
     )
 
@@ -435,7 +435,7 @@ def test_truth_table_csv_matches_per_cell_formatting(tmp_path):
     values[0, 1:] = [-0.0, math.nan, 5e-324]
     stderr = np.full((4, 4), 1e308)
     stderr[3] = [math.inf, -math.inf, 0.1, -1e-300]
-    table = TruthTable(BASIS_LABELS, BASIS_LABELS, values, stderr=stderr)
+    table = TruthTable(values, stderr=stderr)
     for which, data in (("values", values), ("stderr", stderr)):
         path = tmp_path / f"{which}.csv"
         _write_table(path, preamble_lines(config), table, which)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,15 @@ def _package_imports():
     ]
 
 
-@pytest.mark.parametrize(
-    "module", ["analytic", "cli", "gate", "montecarlo", "patterns", "__init__"]
-)
+# Every submodule that declares __all__, found rather than listed, so a new
+# module's stale entry cannot slip past.
+_EXPORTING_MODULES = [
+    info.name for info in pkgutil.iter_modules(ghostfringe.__path__)
+    if hasattr(importlib.import_module(f"ghostfringe.{info.name}"), "__all__")
+]
+
+
+@pytest.mark.parametrize("module", _EXPORTING_MODULES + ["__init__"])
 def test_every_export_resolves(module):
     if module == "__init__":
         for source, name in _package_imports():

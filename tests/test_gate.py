@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostfringe.analytic import PathTable, condition_margins, path_table, phase_phi_basic
+from ghostfringe.analytic import (
+    PathTable,
+    closed_form,
+    condition_margins,
+    path_table,
+    phase_phi_basic,
+)
 from ghostfringe.gate import (
     BASIS_LABELS,
     TruthTable,
     basis_angles,
-    cnot_truth_table,
+    basis_settings,
+    basis_table,
     dn_corr_gate,
     dn_corr_mz,
     envelope_power,
@@ -127,19 +134,20 @@ def test_ideal_cnot_is_permutation():
 
 
 def test_cnot_truth_table_matches_ideal():
-    table = cnot_truth_table()
-    assert table.inputs == BASIS_LABELS
-    assert np.max(np.abs(table.values - ideal_cnot_table())) < 1e-12
+    values = closed_form(basis_table(gate_setup()), 0.0, 0.0, "asymptotic")
+    assert np.max(np.abs(values.reshape(4, 4) - ideal_cnot_table())) < 1e-12
 
 
 def test_truth_table_rows_are_normalized():
-    table = cnot_truth_table(phi=0.9)
-    assert np.allclose(table.values.sum(axis=1), 1.0, atol=1e-12)
+    values = np.reshape([p_controlled_u(angles, 0.9) for angles in basis_settings()], (4, 4))
+    assert np.allclose(values.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_truth_table_shape_validation():
     with pytest.raises(ValueError, match="shape"):
-        TruthTable(inputs=("HH",), outputs=BASIS_LABELS, values=np.zeros((4, 4)))
+        TruthTable(values=np.zeros((3, 4)))
+    table = TruthTable(values=np.zeros((4, 4)))
+    assert table.inputs == table.outputs == BASIS_LABELS
 
 
 @pytest.mark.parametrize("phi_c", [0.0, math.pi / 2.0])

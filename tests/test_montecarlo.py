@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
-from ghostfringe.analytic import CorrelationPattern, dn_corr_basic, path_table
+from ghostfringe.analytic import CorrelationPattern, path_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
     EnsembleEstimate,
@@ -479,7 +479,6 @@ def test_estimate_points_do_not_depend_on_grid_shape():
     pair = estimate_dn_corr(setup, pair_grid, n_realizations=300, seed=2, n_emitters=64)
     single = estimate_dn_corr(setup, single_grid, n_realizations=300, seed=2, n_emitters=64)
     assert pair.raw_values[1] == pytest.approx(single.raw_values[0], rel=1e-9)
-    # 81 points reduce on pairs of the two path amplitudes, one point forms its fields
     scan_grid = np.column_stack([np.linspace(-4e-5, 4e-5, 81), np.zeros(81)])
     scan_grid[50] = single_grid[0]
     scan = estimate_dn_corr(setup, scan_grid, n_realizations=300, seed=2, n_emitters=64)
@@ -491,9 +490,9 @@ def _pair_feature_calls(estimate):
     rows = []
     original = montecarlo._pair_features
 
-    def recording(amplitudes, out):
+    def recording(amplitudes, pairs, out):
         rows.append(len(amplitudes))
-        return original(amplitudes, out)
+        return original(amplitudes, pairs, out)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_pair_features", recording)
@@ -502,7 +501,7 @@ def _pair_feature_calls(estimate):
 
 
 def test_wide_mz_scan_forms_fields():
-    """An MZ basis as wide as its 64 emitters forms fields, even with w * w < columns."""
+    """An MZ basis as wide as its 64 emitters forms fields, even with more columns than w * w."""
     xs = np.linspace(-1e-3, 1e-3, 2101)
     grid = np.column_stack([xs, -xs])
     assert 64 * 64 < 2 * len(grid)
@@ -757,15 +756,13 @@ def test_pair_reduction_matches_field_intensities(case, seed, n_realizations, ro
     """The pair-feature Gram gives the moments that |a @ K|^2 gives on the same rows.
 
     Chunks of a few rows straddle the batch edges, so each batch sums pieces
-    of several chunks. Each arm's columns are repeated until w * w < columns,
-    which the pair branch needs; MAX_PAIR_WIDTH = 0 sends the same kernels to
-    the field branch.
+    of several chunks. MAX_PAIR_WIDTH = 0 sends the same kernels to the field
+    branch.
     """
     setup, table, detectors = case
     source = SourceModel(a=setup.a, n_emitters=64)
     _, kernels = montecarlo._path_basis(source, table, detectors)
-    width, half = kernels[0].shape
-    kernels = [np.tile(kernel, width * width // (2 * half) + 1) for kernel in kernels]
+    width = kernels[0].shape[0]
     moments = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "CHUNK_VALUES", rows * (width + 2 * kernels[0].shape[1]))
