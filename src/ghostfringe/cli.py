@@ -1,9 +1,13 @@
 """Command-line driver: config parsing, scans, truth tables, condition reports.
 
 Experiment files are INI-style with sections [setup], [angles], [scan], [run]
-and [mc]; see the --help epilog for keys and defaults. Results are written as
-CSV with a `# key=value` preamble capturing the full configuration, so a run
-can be reproduced from its own output.
+and [mc]; see the --help epilog for keys and defaults. The dataclasses are
+the file format: [setup] holds `kind` and the fields of its setup class,
+[angles] the fields of GateAngles, and [scan], [run] and [mc] the
+ExperimentConfig fields that name them, each key spelled as its field except
+`lambda` for wavelength. Results are written as CSV with a `# key=value`
+preamble capturing the full configuration, so a run can be reproduced from
+its own output.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,38 +49,20 @@ from .patterns import SCAN_AXES, evaluate_pattern, make_grid
 
 MODES = ("exact", "asymptotic", "mc", "all")
 
-_SETUP_KINDS = ("basic", "gate", "mz")
-_MASK_KEYS = frozenset({"kind", "a", "lambda", "z", "f", "x1", "x2", "x1p", "x2p"})
-_MZ_KEYS = frozenset({"kind", "a", "lambda", "z", "zbar", "delta_c", "delta_t"})
-_ANGLE_KEYS = frozenset({"phi_c", "phi_t", "theta_c", "theta_t"})
-_SCAN_KEYS = frozenset({"axis", "start", "stop", "step", "detector_x"})
-_RUN_KEYS = frozenset({"mode"})
-_MC_KEYS = frozenset({"n_realizations", "n_emitters", "seed"})
-_SECTIONS = ("setup", "angles", "scan", "run", "mc")
-
-_DEFAULTS_HELP = f"""\
-configuration file sections and defaults:
-  [setup]  kind=basic|gate|mz (default basic)
-           basic/gate keys: a, lambda, z, f, x1, x2 (required),
-           x1p (default x1), x2p (default x2)
-           mz keys: a, lambda, z, zbar, delta_c, delta_t (all required)
-  [angles] phi_c, phi_t, theta_c, theta_t in radians, each default 0.0
-           (gate and mz setups only; the section is rejected for basic)
-  [scan]   axis=x_C|x_T|diagonal (default diagonal), start (default -0.0002),
-           stop (default 0.0002), step (default 5e-06),
-           detector_x (default 0.0; the parked detector for x_C/x_T scans
-           and the truth-table detector position)
-  [run]    mode=exact|asymptotic|mc|all (default exact)
-  [mc]     n_realizations (default 10000, at least {MIN_REALIZATIONS}),
-           n_emitters (default 256, at least {MIN_EMITTERS}), seed (default 0)
-
-exit codes:
-  0 success, 1 error, 2 condition-margin violations with --strict-conditions
-"""
+_SETUP_CLASSES = {"basic": SetupBasic, "gate": SetupGate, "mz": SetupMZ}
+# The one field whose file key is not its name.
+_FILE_KEYS = {"wavelength": "lambda"}
+# Arm T's pinholes sit where arm C's do unless the file places them.
+_SETUP_FALLBACKS = {"x1p": "x1", "x2p": "x2"}
 
 
 class ConfigError(Exception):
     """Invalid experiment configuration; the message names section and key."""
+
+
+def _option(section: str, default, choices: tuple[str, ...] = ()):
+    """A field read from its own key in [section]; a file value takes the default's type."""
+    return field(default=default, metadata={"section": section, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -86,44 +72,54 @@ class ExperimentConfig:
     kind: str
     setup: SetupBasic | SetupGate | SetupMZ
     angles: GateAngles | None
-    axis: str
-    start: float
-    stop: float
-    step: float
-    detector_x: float
-    mode: str
-    n_realizations: int
-    n_emitters: int
-    seed: int
+    axis: str = _option("scan", "diagonal", SCAN_AXES)
+    start: float = _option("scan", -2.0e-4)
+    stop: float = _option("scan", 2.0e-4)
+    step: float = _option("scan", 5.0e-6)
+    detector_x: float = _option("scan", 0.0)
+    mode: str = _option("run", "exact", MODES)
+    n_realizations: int = _option("mc", 10000)
+    n_emitters: int = _option("mc", 256)
+    seed: int = _option("mc", 0)
 
     def preamble_items(self) -> list[tuple[str, object]]:
-        """Canonical (key, value) pairs capturing the whole configuration."""
-        setup = self.setup
+        """Canonical (key, value) pairs capturing the whole configuration.
+
+        `kind`, then the fields of the setup, of the angles when there are
+        any, and the scan, run and mc fields, each in field order.
+        """
+        parts = (self.setup, self.angles) if self.angles is not None else (self.setup,)
         items: list[tuple[str, object]] = [("kind", self.kind)]
-        if isinstance(setup, SetupMZ):
-            items += [
-                ("a", setup.a), ("lambda", setup.wavelength), ("z", setup.z),
-                ("zbar", setup.zbar), ("delta_c", setup.delta_c),
-                ("delta_t", setup.delta_t),
-            ]
-        else:
-            items += [
-                ("a", setup.a), ("lambda", setup.wavelength), ("z", setup.z),
-                ("f", setup.f), ("x1", setup.x1), ("x2", setup.x2),
-                ("x1p", setup.x1p), ("x2p", setup.x2p),
-            ]
-        if self.angles is not None:
-            items += [
-                ("phi_c", self.angles.phi_c), ("phi_t", self.angles.phi_t),
-                ("theta_c", self.angles.theta_c), ("theta_t", self.angles.theta_t),
-            ]
-        items += [
-            ("axis", self.axis), ("start", self.start), ("stop", self.stop),
-            ("step", self.step), ("detector_x", self.detector_x),
-            ("mode", self.mode), ("n_realizations", self.n_realizations),
-            ("n_emitters", self.n_emitters), ("seed", self.seed),
-        ]
-        return items
+        items += [(_FILE_KEYS.get(f.name, f.name), getattr(part, f.name))
+                  for part in parts for f in fields(part)]
+        return items + [(f.name, getattr(self, f.name)) for f in _OPTIONS]
+
+
+_OPTIONS = [f for f in fields(ExperimentConfig) if "section" in f.metadata]
+_OPTION_SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _OPTIONS))
+_SECTIONS = ("setup", "angles", *_OPTION_SECTIONS)
+_DEFAULT = {f.name: f.default for f in _OPTIONS}
+
+_DEFAULTS_HELP = f"""\
+configuration file sections and defaults:
+  [setup]  kind=basic|gate|mz (default basic)
+           basic/gate keys: a, lambda, z, f, x1, x2 (required),
+           x1p (default x1), x2p (default x2)
+           mz keys: a, lambda, z, zbar, delta_c, delta_t (all required)
+  [angles] phi_c, phi_t, theta_c, theta_t in radians, each default 0.0
+           (gate and mz setups only; the section is rejected for basic)
+  [scan]   axis=x_C|x_T|diagonal (default {_DEFAULT['axis']}), start (default {_DEFAULT['start']}),
+           stop (default {_DEFAULT['stop']}), step (default {_DEFAULT['step']}),
+           detector_x (default {_DEFAULT['detector_x']}; the parked detector for x_C/x_T scans
+           and the truth-table detector position)
+  [run]    mode=exact|asymptotic|mc|all (default {_DEFAULT['mode']})
+  [mc]     n_realizations (default {_DEFAULT['n_realizations']}, at least {MIN_REALIZATIONS}),
+           n_emitters (default {_DEFAULT['n_emitters']}, at least {MIN_EMITTERS}), \
+seed (default {_DEFAULT['seed']})
+
+exit codes:
+  0 success, 1 error, 2 condition-margin violations with --strict-conditions
+"""
 
 
 @dataclass
@@ -139,37 +135,34 @@ class RunReport:
     timings: dict[str, float]
 
 
-def _unknown_key(section: str, key: str, known) -> ConfigError:
-    hint = difflib.get_close_matches(key, sorted(known), n=1)
-    suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
-    return ConfigError(f"unknown key {key!r} in [{section}]{suggestion}")
-
-
-def _as_float(section: str, key: str, raw: str) -> float:
+def _as(section: str, key: str, raw: str, type_: type):
+    """raw read as a type_: str as it is, int, or a finite float."""
+    if type_ is str:
+        return raw
     try:
-        value = float(raw)
+        value = type_(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
+        noun = "a number" if type_ is float else "an integer"
+        raise ConfigError(f"[{section}] {key} must be {noun}, got {raw!r}") from None
+    if type_ is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
     return value
 
 
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-
-
-def _read_section(cp: configparser.ConfigParser, name: str, known: frozenset) -> dict[str, str]:
-    if not cp.has_section(name):
-        return {}
-    raw = dict(cp.items(name))
+def _read_section(cp: configparser.ConfigParser, name: str, known) -> dict[str, str]:
+    """The key=value pairs of [name], empty when it is absent; each key must be known."""
+    raw = dict(cp.items(name)) if cp.has_section(name) else {}
     for key in raw:
         if key not in known:
-            raise _unknown_key(name, key, known)
+            hint = difflib.get_close_matches(key, sorted(known), n=1)
+            suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
+            raise ConfigError(f"unknown key {key!r} in [{name}]{suggestion}")
     return raw
+
+
+def _check_choice(section: str, key: str, value: str, choices) -> None:
+    if value not in choices:
+        raise ConfigError(f"[{section}] {key} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -177,7 +170,11 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(interpolation=None)
+    # default_section="" makes [DEFAULT] an ordinary, and so unknown, section
+    # instead of a source of keys in every other section.
+    cp = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",), default_section=""
+    )
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -194,94 +191,51 @@ def parse_config(path) -> ExperimentConfig:
     if not cp.has_section("setup"):
         raise ConfigError("missing required section [setup]")
 
-    raw_setup = dict(cp.items("setup"))
-    kind = raw_setup.get("kind", "basic")
-    if kind not in _SETUP_KINDS:
-        raise ConfigError(f"[setup] kind must be one of {', '.join(_SETUP_KINDS)}, got {kind!r}")
-    known = _MZ_KEYS if kind == "mz" else _MASK_KEYS
-    for key in raw_setup:
-        if key not in known:
-            raise _unknown_key("setup", key, known)
-
-    def setup_value(key: str) -> float:
-        if key not in raw_setup:
-            raise ConfigError(f"[setup] missing required key {key!r} for kind={kind}")
-        return _as_float("setup", key, raw_setup[key])
-
-    try:
-        if kind == "mz":
-            setup: SetupBasic | SetupGate | SetupMZ = SetupMZ(
-                a=setup_value("a"), wavelength=setup_value("lambda"),
-                z=setup_value("z"), zbar=setup_value("zbar"),
-                delta_c=setup_value("delta_c"), delta_t=setup_value("delta_t"),
-            )
+    kind = cp.get("setup", "kind", fallback="basic")
+    _check_choice("setup", "kind", kind, _SETUP_CLASSES)
+    names = {_FILE_KEYS.get(f.name, f.name): f.name for f in fields(_SETUP_CLASSES[kind])}
+    raw = _read_section(cp, "setup", {"kind", *names})
+    values: dict[str, object] = {}
+    for key, name in names.items():
+        if key in raw:
+            values[name] = _as("setup", key, raw[key], float)
+        elif name in _SETUP_FALLBACKS:
+            values[name] = values[_SETUP_FALLBACKS[name]]
         else:
-            x1 = setup_value("x1")
-            x2 = setup_value("x2")
-            x1p = _as_float("setup", "x1p", raw_setup["x1p"]) if "x1p" in raw_setup else x1
-            x2p = _as_float("setup", "x2p", raw_setup["x2p"]) if "x2p" in raw_setup else x2
-            cls = SetupGate if kind == "gate" else SetupBasic
-            setup = cls(
-                a=setup_value("a"), wavelength=setup_value("lambda"),
-                z=setup_value("z"), f=setup_value("f"),
-                x1=x1, x2=x2, x1p=x1p, x2p=x2p,
-            )
+            raise ConfigError(f"[setup] missing required key {key!r} for kind={kind}")
+    try:
+        setup = _SETUP_CLASSES[kind](**values)
     except ValueError as exc:
         raise ConfigError(f"[setup] {exc}") from exc
 
     angles: GateAngles | None = None
-    if cp.has_section("angles"):
-        if kind == "basic":
-            raise ConfigError("[angles] only applies to gate and mz setups")
-        raw_angles = _read_section(cp, "angles", _ANGLE_KEYS)
-        values = {key: _as_float("angles", key, raw) for key, raw in raw_angles.items()}
-        try:
-            angles = GateAngles(
-                phi_c=values.get("phi_c", 0.0), phi_t=values.get("phi_t", 0.0),
-                theta_c=values.get("theta_c", 0.0), theta_t=values.get("theta_t", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[angles] {exc}") from exc
-    elif kind != "basic":
-        angles = GateAngles(0.0, 0.0, 0.0, 0.0)
+    if kind == "basic" and cp.has_section("angles"):
+        raise ConfigError("[angles] only applies to gate and mz setups")
+    if kind != "basic":
+        keys = [f.name for f in fields(GateAngles)]
+        raw = _read_section(cp, "angles", keys)
+        angles = GateAngles(**{key: _as("angles", key, raw[key], float) if key in raw else 0.0
+                               for key in keys})
 
-    raw_scan = _read_section(cp, "scan", _SCAN_KEYS)
-    axis = raw_scan.get("axis", "diagonal")
-    if axis not in SCAN_AXES:
-        raise ConfigError(f"[scan] axis must be one of {', '.join(SCAN_AXES)}, got {axis!r}")
-
-    def scan_value(key: str, default: float) -> float:
-        return _as_float("scan", key, raw_scan[key]) if key in raw_scan else default
-
-    start = scan_value("start", -2.0e-4)
-    stop = scan_value("stop", 2.0e-4)
-    step = scan_value("step", 5.0e-6)
-    detector_x = scan_value("detector_x", 0.0)
-    if step <= 0.0:
-        raise ConfigError(f"[scan] step must be positive, got {step}")
-    if stop < start:
-        raise ConfigError(f"[scan] stop {stop} is below start {start}")
-
-    raw_run = _read_section(cp, "run", _RUN_KEYS)
-    mode = raw_run.get("mode", "exact")
-    if mode not in MODES:
-        raise ConfigError(f"[run] mode must be one of {', '.join(MODES)}, got {mode!r}")
-
-    raw_mc = _read_section(cp, "mc", _MC_KEYS)
-    n_realizations = _as_int("mc", "n_realizations", raw_mc["n_realizations"]) \
-        if "n_realizations" in raw_mc else 10000
-    n_emitters = _as_int("mc", "n_emitters", raw_mc["n_emitters"]) if "n_emitters" in raw_mc else 256
-    seed = _as_int("mc", "seed", raw_mc["seed"]) if "seed" in raw_mc else 0
+    options: dict[str, object] = {}
+    for section in _OPTION_SECTIONS:
+        in_section = [f for f in _OPTIONS if f.metadata["section"] == section]
+        raw = _read_section(cp, section, [f.name for f in in_section])
+        for f in in_section:
+            value = _as(section, f.name, raw[f.name], type(f.default)) \
+                if f.name in raw else f.default
+            if f.metadata["choices"]:
+                _check_choice(section, f.name, value, f.metadata["choices"])
+            options[f.name] = value
+    if options["step"] <= 0.0:
+        raise ConfigError(f"[scan] step must be positive, got {options['step']}")
+    if options["stop"] < options["start"]:
+        raise ConfigError(f"[scan] stop {options['stop']} is below start {options['start']}")
     try:
-        check_ensemble_size(n_realizations, n_emitters)
+        check_ensemble_size(options["n_realizations"], options["n_emitters"])
     except ValueError as exc:
         raise ConfigError(f"[mc] {exc}") from exc
-
-    return ExperimentConfig(
-        kind=kind, setup=setup, angles=angles,
-        axis=axis, start=start, stop=stop, step=step, detector_x=detector_x,
-        mode=mode, n_realizations=n_realizations, n_emitters=n_emitters, seed=seed,
-    )
+    return ExperimentConfig(kind=kind, setup=setup, angles=angles, **options)
 
 
 def conditions_report(config: ExperimentConfig, grid: np.ndarray):
@@ -297,26 +251,35 @@ def conditions_report(config: ExperimentConfig, grid: np.ndarray):
     return worst_margins(margins), violations(margins)
 
 
+def _each_mode(config: ExperimentConfig, evaluate) -> tuple[dict, dict[str, float]]:
+    """evaluate(mode) for every configured mode, and the seconds each took.
+
+    conditions_report checks the configured points for every mode, so the
+    closed forms' own warnings would only repeat it.
+    """
+    results, timings = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        for mode in MODES[:-1] if config.mode == "all" else (config.mode,):
+            tic = time.perf_counter()
+            results[mode] = evaluate(mode)
+            timings[mode] = time.perf_counter() - tic
+    return results, timings
+
+
 def run(config: ExperimentConfig) -> RunReport:
     """Evaluate the configured scan in every requested mode."""
     grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
-    wanted = ["exact", "asymptotic", "mc"] if config.mode == "all" else [config.mode]
-    patterns: dict[str, CorrelationPattern] = {}
-    timings: dict[str, float] = {}
-    # conditions_report checks the whole grid for every mode, so the closed
-    # forms' own warnings would only repeat it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        for mode in wanted:
-            tic = time.perf_counter()
-            if mode == "mc":
-                patterns[mode] = estimate_dn_corr(
-                    config.setup, grid, config.n_realizations, config.seed,
-                    angles=config.angles, n_emitters=config.n_emitters,
-                ).pattern
-            else:
-                patterns[mode] = evaluate_pattern(config.setup, grid, mode, angles=config.angles)
-            timings[mode] = time.perf_counter() - tic
+
+    def evaluate(mode: str) -> CorrelationPattern:
+        if mode == "mc":
+            return estimate_dn_corr(
+                config.setup, grid, config.n_realizations, config.seed,
+                angles=config.angles, n_emitters=config.n_emitters,
+            ).pattern
+        return evaluate_pattern(config.setup, grid, mode, angles=config.angles)
+
+    patterns, timings = _each_mode(config, evaluate)
 
     comparisons: dict[str, dict[str, float]] = {}
     for mode in ("exact", "asymptotic"):
@@ -335,11 +298,8 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def _preamble(config: ExperimentConfig) -> list[str]:
-    lines = []
-    for key, value in config.preamble_items():
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"# {key}={text}")
-    return lines
+    return [f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}"
+            for key, value in config.preamble_items()]
 
 
 # Rows per `%` call: enough that the per-call cost vanishes, few enough that
@@ -425,13 +385,6 @@ def emit(report: RunReport, out_dir) -> list[Path]:
     return written
 
 
-def _closed_form_table(setup, x_c: float, x_t: float, mode: str) -> TruthTable:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        values = closed_form(basis_table(setup), x_c, x_t, mode)
-    return TruthTable(values=values.reshape(4, 4))
-
-
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
     _write_csv(
         path, preamble + [f"# table={which}", "input," + ",".join(table.outputs)],
@@ -481,16 +434,19 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     preamble = _preamble(config)
     x_c = x_t = config.detector_x
-    wanted = ["exact", "asymptotic", "mc"] if config.mode == "all" else [config.mode]
-    written: list[Path] = []
-    for mode in wanted:
+
+    def evaluate(mode: str) -> TruthTable:
         if mode == "mc":
-            table = estimate_truth_table(
+            return estimate_truth_table(
                 config.setup, x_c, x_t, config.n_realizations, config.seed,
                 n_emitters=config.n_emitters,
             )
-        else:
-            table = _closed_form_table(config.setup, x_c, x_t, mode)
+        values = closed_form(basis_table(config.setup), x_c, x_t, mode)
+        return TruthTable(values=values.reshape(4, 4))
+
+    tables, _ = _each_mode(config, evaluate)
+    written: list[Path] = []
+    for mode, table in tables.items():
         path = out / f"truth_table_{mode}.csv"
         _write_table(path, preamble, table, "values")
         written.append(path)

@@ -134,16 +134,17 @@ def _paraxial(wavelength: float, distance: float, x_from, x_to):
 
 
 def _kernel_factors(source: SourceModel, table: PathTable, detectors):
-    """Distinct source legs L and, per (arm, positions) entry, coefficients C with K = L @ C.
+    """Distinct source legs L and, per (arm, positions) entry, each column's (leg, value) pairs.
 
     A path leaves the source along a leg, the paraxial propagator over z from
     each emitter to a point: its pinhole on a mask, the shifted detector
     position x_d + offset behind tilted mirrors; a mask path then carries the
     pinhole -> detector propagator over f. Column m of an arm's propagation
     matrix K, whose product with emitter amplitudes is the arm field, sums
-    weight times that factor times leg over the arm's paths. Weights with a
-    leading settings axis (see basis_table) at one position give one column
-    per setting.
+    weight times that factor times leg over the arm's two paths, so an entry
+    is the leg indices and values of shape (columns, 2) with
+    K[:, m] = L[:, leg[m]] @ value[m]. Weights with a leading settings axis
+    (see basis_table) at one position give one column per setting.
     """
     setup = table.setup
     points, values = [], []
@@ -162,30 +163,27 @@ def _kernel_factors(source: SourceModel, table: PathTable, detectors):
         points.append(np.broadcast_to(point, values[-1].shape).ravel())
     leg_points, inverse = np.unique(np.concatenate(points), return_inverse=True)
     legs = _paraxial(setup.wavelength, setup.z, source.positions[:, None], leg_points)
-    coefficients = []
-    for leg, value in zip(np.split(inverse, np.cumsum([p.size for p in points])[:-1]), values):
-        coefficient = np.zeros((leg_points.size, len(value)), dtype=complex)
-        np.add.at(coefficient, (leg.reshape(value.shape), np.arange(len(value))[:, None]), value)
-        coefficients.append(coefficient)
-    return legs, coefficients
+    indices = np.split(inverse, np.cumsum([p.size for p in points])[:-1])
+    return legs, [(leg.reshape(value.shape), value) for leg, value in zip(indices, values)]
 
 
 def _path_basis(source: SourceModel, table: PathTable, detectors):
     """Orthonormal basis Q of the paths' source legs and each entry's kernel in it.
 
     Every kernel column lies in the span of the distinct source legs L
-    (_kernel_factors), so with L = QR, a @ K equals (a @ Q) @ (R @ C), and
-    a @ Q of i.i.d. circular Gaussian emitter amplitudes is again i.i.d.
-    circular Gaussian with the same mean photon number: the ensemble draws
-    a @ Q directly, one amplitude per column of Q. A mask has at most four
-    legs, one per pinhole, whatever the angles, open paths or positions.
-    Behind tilted mirrors the legs follow the detector positions; with more
-    legs than emitters Q is square and unitary, which changes nothing in the
+    (_kernel_factors), so with L = QR, a @ K[:, m] equals
+    (a @ Q) @ (R[:, leg[m]] @ value[m]), and a @ Q of i.i.d. circular
+    Gaussian emitter amplitudes is again i.i.d. circular Gaussian with the
+    same mean photon number: the ensemble draws a @ Q directly, one
+    amplitude per column of Q. A mask has at most four legs, one per
+    pinhole, whatever the angles, open paths or positions. Behind tilted
+    mirrors the legs follow the detector positions; with more legs than
+    emitters Q is square and unitary, which changes nothing in the
     distribution.
     """
-    legs, coefficients = _kernel_factors(source, table, detectors)
+    legs, entries = _kernel_factors(source, table, detectors)
     basis, triangle = np.linalg.qr(legs)
-    return basis, [triangle @ coefficient for coefficient in coefficients]
+    return basis, [(triangle[:, leg] * value).sum(-1) for leg, value in entries]
 
 
 def field_at_detector(
@@ -204,8 +202,8 @@ def field_at_detector(
     paths of the arm are open, e.g. (1,) to close the second pinhole.
     """
     table = path_table(setup, angles, open_paths=open_paths)
-    legs, (coefficients,) = _kernel_factors(realization.source, table, [(arm, [x_d])])
-    return complex(realization.amplitudes @ legs @ coefficients[:, 0])
+    legs, ((leg, value),) = _kernel_factors(realization.source, table, [(arm, [x_d])])
+    return complex(realization.amplitudes @ legs[:, leg[0]] @ value[0])
 
 
 def free_field(realization: Realization, setup, x_d: float) -> complex:

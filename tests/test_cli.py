@@ -31,6 +31,17 @@ x1 = -5e-3
 x2 = 5e-3
 """
 
+MZ_SETUP = """\
+[setup]
+kind = mz
+a = 0.5e-3
+lambda = 500e-9
+z = 1.0
+zbar = 0.2
+delta_c = 0.0125
+delta_t = 0.0125
+"""
+
 SCAN_SMALL = """\
 [scan]
 axis = x_C
@@ -102,19 +113,7 @@ def test_gate_config_defaults_angles_to_zero(tmp_path):
 
 
 def test_mz_config(tmp_path):
-    text = """\
-[setup]
-kind = mz
-a = 0.5e-3
-lambda = 500e-9
-z = 1.0
-zbar = 0.2
-delta_c = 0.0125
-delta_t = 0.0125
-
-[angles]
-phi_c = 0.785398
-"""
+    text = MZ_SETUP + "\n[angles]\nphi_c = 0.785398\n"
     config = parse_config(write_config(tmp_path, text))
     assert isinstance(config.setup, SetupMZ)
     assert config.setup.delta_c == 0.0125
@@ -135,6 +134,40 @@ def test_missing_setup_section(tmp_path):
 def test_missing_required_key_names_it(tmp_path):
     text = BASIC_SETUP.replace("f = 1.0\n", "")
     with pytest.raises(ConfigError, match="missing required key 'f'"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_missing_setup_keys_name_the_first_in_field_order(tmp_path):
+    text = BASIC_SETUP.replace("a = 0.5e-3\n", "").replace("x1 = -5e-3\n", "")
+    with pytest.raises(ConfigError, match=r"\[setup\] missing required key 'a' for kind=basic"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_non_finite_and_non_integer_values_rejected(tmp_path):
+    text = BASIC_SETUP.replace("[setup]", "[setup]\nkind = gate") + "\n[angles]\nphi_c = nan\n"
+    with pytest.raises(ConfigError, match=r"\[angles\] phi_c must be finite, got 'nan'"):
+        parse_config(write_config(tmp_path, text))
+    text = BASIC_SETUP + MC_SMALL.replace("seed = 1", "seed = 1.5")
+    with pytest.raises(ConfigError, match=r"\[mc\] seed must be an integer, got '1.5'"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_readme_example_config_parses(tmp_path):
+    """The README's example file, inline `;` comments included, is a valid config."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    config = parse_config(write_config(tmp_path, block))
+    assert config.kind == "basic"
+    assert config.setup.wavelength == 500e-9
+    assert config.setup.x2p == 5e-3
+    assert (config.axis, config.detector_x, config.mode) == ("x_C", 0.0, "all")
+    assert (config.n_realizations, config.n_emitters, config.seed) == (20000, 256, 0)
+
+
+def test_default_section_is_an_unknown_section(tmp_path):
+    """[DEFAULT] does not leak its keys into the other sections."""
+    text = "[DEFAULT]\nmode = mc\n\n" + BASIC_SETUP
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
         parse_config(write_config(tmp_path, text))
 
 
@@ -255,24 +288,45 @@ def test_scan_mode_all_writes_four_files(tmp_path):
     assert {r[0] for r in rows} == {"exact_vs_mc", "asymptotic_vs_mc", "exact_vs_asymptotic"}
 
 
-def test_scan_output_is_reproducible_from_preamble(tmp_path):
-    """An output file carries enough configuration to reproduce itself."""
-    config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
-    first = tmp_path / "first"
-    main(["scan", "--config", config, "--mode", "mc", "--out", str(first)])
-    preamble, _, _ = read_csv(first / "scan_mc.csv")
+ANGLES = """\
+[angles]
+phi_c = 0.785398
+theta_t = 7.0
+"""
 
-    sections = {
-        "setup": ("kind", "a", "lambda", "z", "f", "x1", "x2", "x1p", "x2p"),
-        "scan": ("axis", "start", "stop", "step", "detector_x"),
-        "run": ("mode",),
-        "mc": ("n_realizations", "n_emitters", "seed"),
-    }
+# The sections of every key a preamble may hold, written down here rather
+# than taken from the package, so the test checks the file format itself.
+FILE_SECTIONS = {
+    "setup": ("kind", "a", "lambda", "z", "f", "x1", "x2", "x1p", "x2p",
+              "zbar", "delta_c", "delta_t"),
+    "angles": ("phi_c", "phi_t", "theta_c", "theta_t"),
+    "scan": ("axis", "start", "stop", "step", "detector_x"),
+    "run": ("mode",),
+    "mc": ("n_realizations", "n_emitters", "seed"),
+}
+
+
+@pytest.mark.parametrize("setup", [
+    BASIC_SETUP,
+    BASIC_SETUP.replace("[setup]", "[setup]\nkind = gate") + ANGLES,
+    MZ_SETUP + ANGLES,
+], ids=["basic", "gate", "mz"])
+def test_scan_output_is_reproducible_from_preamble(tmp_path, setup):
+    """An output file carries enough configuration to reproduce itself."""
+    config = write_config(tmp_path, setup + SCAN_SMALL + "[run]\nmode = mc\n" + MC_SMALL)
+    first = tmp_path / "first"
+    main(["scan", "--config", config, "--out", str(first)])
+    preamble, _, _ = read_csv(first / "scan_mc.csv")
+    assert preamble.pop("pattern_mode") == "monte-carlo"
+
     rebuilt = []
-    for section, keys in sections.items():
-        rebuilt.append(f"[{section}]")
-        rebuilt.extend(f"{key} = {preamble[key]}" for key in keys if key in preamble)
+    for section, keys in FILE_SECTIONS.items():
+        lines = [f"{key} = {preamble.pop(key)}" for key in keys if key in preamble]
+        if lines:
+            rebuilt += [f"[{section}]", *lines]
+    assert preamble == {}
     rebuilt_path = write_config(tmp_path, "\n".join(rebuilt) + "\n", name="rebuilt.ini")
+    assert parse_config(rebuilt_path) == parse_config(config)
 
     second = tmp_path / "second"
     main(["scan", "--config", rebuilt_path, "--out", str(second)])
@@ -691,17 +745,7 @@ def test_conditions_strict_exit_two(tmp_path, capsys):
 
 
 def test_mz_conditions_include_tilt_margins(tmp_path, capsys):
-    text = """\
-[setup]
-kind = mz
-a = 0.5e-3
-lambda = 500e-9
-z = 1.0
-zbar = 0.2
-delta_c = 0.0125
-delta_t = 0.0125
-"""
-    config = write_config(tmp_path, text)
+    config = write_config(tmp_path, MZ_SETUP)
     assert main(["conditions", "--config", config]) == 0
     out = capsys.readouterr().out
     assert "tilt_c = 10" in out
