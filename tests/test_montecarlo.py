@@ -98,11 +98,18 @@ def test_realization_index_must_be_nonnegative():
         sample_realization(SourceModel(a=1e-3), seed=0, index=-1)
 
 
+PHASE_TABLE = np.exp(2j * math.pi * (np.arange(4096) + 0.5) / 4096)
+
+
 def _philox_rows(seed, width, indices, mean_photon_number):
     """Oracle: a fresh Philox generator per realization at its own counter, then Box-Muller.
 
     Row r of a width-w stream holds the Philox blocks r * ceil(w / 2) + 1 ..,
-    two words per amplitude: u1 sets the modulus, u2 the phase.
+    two words per amplitude: u1 sets the modulus, u2 the phase. The phase
+    exp(2 pi i u2) is the entry j = floor(4096 u2) of PHASE_TABLE, rotated by
+    x = 2 pi (4096 u2 - j - 1/2) / 4096 through the cos and sin polynomials
+    1 - x^2/2 + x^4/24 and x - x^3/6, in the module's Horner steps, so that
+    it is equal to the bit.
     """
     blocks = -(-width // 2)
     key = np.array([seed % 2**64, width], dtype=np.uint64)
@@ -110,7 +117,13 @@ def _philox_rows(seed, width, indices, mean_photon_number):
     for index in indices:
         words = np.random.Philox(key=key, counter=index * blocks).random_raw(4 * blocks)
         u = (words[: 2 * width] >> np.uint64(11)) / 2.0**53
-        rows.append(np.sqrt(-mean_photon_number * np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2]))
+        turn = u[1::2] * 4096
+        j = np.floor(turn).astype(int)
+        x = (turn - j - 0.5) * (2 * math.pi / 4096)
+        cos = (x * x * (1 / 24) - 0.5) * (x * x) + 1.0
+        sin = (x * x * (-1 / 6) + 1.0) * x
+        phase = (cos + 1j * sin) * PHASE_TABLE[j]
+        rows.append(phase * np.sqrt(-mean_photon_number * np.log1p(-u[0::2])))
     return np.array(rows)
 
 
@@ -167,6 +180,26 @@ def test_seed_keys_the_generator_by_its_uint64_pattern():
         assert np.array_equal(sample_realization(source, seed, 3).amplitudes, expected)
     zero = sample_realization(source, 0, 3).amplitudes
     assert not np.array_equal(sample_realization(source, -1, 3).amplitudes, zero)
+
+
+def test_unit_phase_is_complex_exp_to_rounding():
+    """The table-and-polynomial phase is np.exp(2j pi u) to 2e-15, on the unit circle to 1e-15.
+
+    Over seeded uniforms, both ends of [0, 1), every table edge j / 4096 and
+    the double just below each edge, where the remainder angle is largest.
+    """
+    size = montecarlo.PHASE_TABLE_SIZE
+    edges = np.arange(size) / size
+    u = np.concatenate([
+        np.random.default_rng(31).random(10**6),
+        [0.0, 1.0 - 2.0**-53],
+        edges,
+        np.nextafter(edges[1:], 0.0),
+    ])
+    phases = montecarlo._unit_phase(u)
+    assert np.abs(phases - np.exp(2j * np.pi * u)).max() <= 2e-15
+    assert np.abs(np.abs(phases) - 1.0).max() <= 1e-15
+    assert np.floor(u * size).max() == size - 1
 
 
 def test_amplitude_moments():
@@ -445,6 +478,36 @@ def test_mean_intensity_matches_per_realization_loop():
     ])
     np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(stderr, intensities.std(axis=0) / math.sqrt(n), rtol=1e-9)
+
+
+def test_mz_mean_intensity_forms_each_field_once():
+    """Behind tilted mirrors a mean-intensity scan multiplies by M kernel columns, not 2M.
+
+    Its mean and stderr equal, to 1e-12, those of the pass that takes the
+    arm's kernel as both C and T.
+    """
+    setup, xs, n = mz_setup(), np.linspace(-1e-4, 1e-4, 21), 300
+    columns = []
+    original = montecarlo._amplitude_block
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            columns.append(other.shape[1])
+            return np.asarray(self) @ other
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            montecarlo, "_amplitude_block", lambda *args: original(*args).view(Recording)
+        )
+        mean, stderr = estimate_mean_intensity(
+            setup, "C", xs, n_realizations=n, seed=3, angles=QUARTER_ANGLES, n_emitters=64
+        )
+    assert columns and set(columns) == {len(xs)}
+    source = SourceModel(a=setup.a, n_emitters=64)
+    _, (kernel,) = montecarlo._path_basis(source, path_table(setup, QUARTER_ANGLES), [("C", xs)])
+    both_mean, both_var, _ = montecarlo._ensemble_moments(source, 3, n, kernel, kernel)
+    np.testing.assert_allclose(mean, both_mean, rtol=1e-12)
+    np.testing.assert_allclose(stderr, np.sqrt(both_var / n), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
