@@ -16,23 +16,28 @@ in their own checkout, for the run_seconds that BENCHMARK.json sets, and
 the side that runs first alternates from seed to seed. Per workload and
 end-to-end metric of BENCHMARK.json the output holds both medians, the
 parent's quartiles, the number of pairs in which the change is better, and
-the raw runs; then the failed and attempted op counts and whether every run
-passed the output gate. Nothing under perfbench/ and
-nothing in BENCHMARK.json is written.
+the raw runs; then the failed and attempted op counts, whether every run
+passed the output gate, and per side the provenance of each run: its start
+time, the side that ran first in its pair and the 1-minute load average read
+just before it, so that a gap between pairs can be traced to the machine.
+Nothing under perfbench/ and nothing in BENCHMARK.json is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROVENANCE = ("started", "first", "load_1min")
 
 
 def git(*args: str) -> str:
@@ -77,6 +82,23 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     record = json.loads((checkout / ".perfbench_work" / workload / "record.json").read_text())
     result["machine"] = record["machine"]
     return result
+
+
+def run_pair(checkouts: dict[str, Path], workload: str, seed: int) -> dict[str, dict]:
+    """Both sides' runs of one seed, the parent first on odd seeds, each with its provenance.
+
+    Each result gains the PROVENANCE keys: started, the UTC start time;
+    first, the side that ran first in this pair; and load_1min, the 1-minute
+    load average read just before the run.
+    """
+    order = ("parent", "change") if seed % 2 else ("change", "parent")
+    results = {}
+    for side in order:
+        load = os.getloadavg()[0]
+        started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        results[side] = run(checkouts[side], workload, seed)
+        results[side].update(started=started, first=order[0], load_1min=load)
+    return results
 
 
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
@@ -140,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
             f"End-to-end metrics of the perfbench workloads, parent commit vs this change: "
             f"{args.seeds} alternating pairs per workload (seeds 1-{args.seeds}, the side that "
             f"runs first alternates), each run `{command}` for {spec['run_seconds']} s in a copy "
-            "of the parent commit and a copy of the working tree on the same machine."),
+            "of the parent commit and a copy of the working tree on the same machine; "
+            "provenance holds each run's UTC start, the side that ran first in its pair and "
+            "the 1-minute load average read just before it."),
         "parent_commit": commit,
         "command": command,
         "machine": None,
@@ -149,14 +173,16 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for seed in range(1, args.seeds + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(run(checkouts[side], workload, seed))
+            for side, outcome in run_pair(checkouts, workload, seed).items():
+                runs[side].append(outcome)
             print(f"{workload} seed {seed}: wall_s parent "
                   f"{runs['parent'][-1]['metrics']['wall_s']['value']:.4g}, change "
                   f"{runs['change'][-1]['metrics']['wall_s']['value']:.4g}", flush=True)
         result["machine"] = runs["change"][-1]["machine"]
-        result["workloads"][workload] = summarize(runs, spec["end_to_end"])
+        summary = summarize(runs, spec["end_to_end"])
+        summary["provenance"] = {side: [{key: r[key] for key in PROVENANCE} for r in runs[side]]
+                                 for side in runs}
+        result["workloads"][workload] = summary
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

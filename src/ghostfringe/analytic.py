@@ -2,14 +2,16 @@
 
 Every setup is two arms, C and T, of two paths each: the two pinholes of a
 mask, or the tilted and the straight path of a tilted-mirror interferometer.
-PathTable holds, per path, a polarization weight, an envelope position and a
-unit propagation phasor, and every closed form derives from it. The joint
+PathTable holds, per path, a polarization weight and an envelope position,
+and per arm the phase of its second path relative to its first, the only
+phase the correlation can observe: a phase common to both paths of an arm
+cancels. Both closed-form modes derive from that table. The joint
 photon-number fluctuation correlation of the arms is the squared modulus of a
 sum over the four path pairs (path i of arm C, path j of arm T): both weights
-times the propagation phase times a slit envelope sinc(pi * separation /
+times the relative phases times a slit envelope sinc(pi * separation /
 l_coh). When both within-pair separations are far below l_coh and both
 cross-pair separations far above it, only the matched pairs (1,1') and (2,2')
-survive and the pattern collapses to the two-path law
+survive at unit envelope and the pattern collapses to the two-path law
 |w11 + w22*exp(i*phi)|^2, which is 2 + 2*cos(phi) for the unpolarized mask.
 """
 
@@ -49,21 +51,19 @@ CONDITIONS = {
 }
 
 
-def b_phase(xj, xd, setup: SetupBasic, mask_quad_scale: float = 1.0):
+def b_phase(xj, xd, setup: SetupBasic):
     """Unit-modulus propagation factor from pinhole xj to detector xd.
 
     Product of the detector-plane curvature exp(i*omega*xd^2/(2*c*f)), the
-    mask-plane curvature exp(i*scale*omega*xj^2/(2*c*h)) with 1/h = 1/z + 1/f,
+    mask-plane curvature exp(i*omega*xj^2/(2*c*h)) with 1/h = 1/z + 1/f,
     and the mixed term exp(-i*omega*xd*xj/(f*c)). xj and xd broadcast as
-    arrays.
-
-    mask_quad_scale scales only the mask-plane quadratic term. The physical
-    value is 1.0; 2.0 gives a doubled-curvature variant kept so the
-    stochastic-ensemble oracle can discriminate the two conventions.
+    arrays. This is the absolute phase of one path, which g1_pair reports;
+    the closed forms need only PathTable.relative_phase, the difference of
+    two such phases within an arm.
     """
     omega = setup.omega
     quad = omega / (C_LIGHT * setup.f) * xd * xd / 2.0
-    quad = quad + mask_quad_scale * omega / (C_LIGHT * setup.h) * xj * xj / 2.0
+    quad = quad + omega / (C_LIGHT * setup.h) * xj * xj / 2.0
     return np.exp(1j * (quad - omega * xd * xj / (setup.f * C_LIGHT)))
 
 
@@ -76,6 +76,11 @@ class PathTable:
     unpolarized mask. offsets[arm, path] places a path: the pinhole position
     on a mask, or behind the tilted mirrors the detector shift, 2*zbar*delta
     for the tilted first path and 0 for the straight second one.
+    relative_phase, the phase of an arm's second path relative to its first,
+    is the only phase either closed-form mode reads. mask_quad_scale scales
+    the mask-plane curvature in it: the physical value is 1.0, and 2.0 gives
+    a doubled-curvature variant kept so the stochastic-ensemble oracle can
+    discriminate the two conventions.
     """
 
     setup: SetupBasic | SetupMZ
@@ -106,20 +111,27 @@ class PathTable:
         separation = self.positions(0, x_c)[..., :, None] - self.positions(1, x_t)[..., None, :]
         return sinc(np.pi * separation / self.setup.l_coh)
 
-    def amplitudes(self, arm: int, x_d) -> np.ndarray:
-        """Weight times unit propagation phasor of each path of an arm, shape (..., 2).
+    def relative_phase(self, arm: int, x_d):
+        """Phase of an arm's second path minus its first at detector positions x_d.
 
-        A mask path carries b_phase from its pinhole to x_d; a tilted-mirror
-        path the paraxial phase exp(-i*omega*p^2/(2*z*c)) at its shifted
-        detector position p.
+        Affine in x_d, with p the arm's offsets and s = mask_quad_scale:
+        s*omega*(p2^2 - p1^2)/(2*c*h) - omega*x_d*(p2 - p1)/(c*f) on a mask,
+        -omega*((p2^2 - p1^2)/2 + x_d*(p2 - p1))/(z*c) behind tilted mirrors.
         """
         setup = self.setup
+        p1, p2 = self.offsets[arm]
         if isinstance(setup, SetupMZ):
-            shifted = self.positions(arm, x_d)
-            phasors = np.exp(-1j * (setup.omega / (2.0 * setup.z * C_LIGHT) * shifted * shifted))
+            curvature = -setup.omega / (2.0 * C_LIGHT * setup.z)
+            tilt = -setup.omega / (C_LIGHT * setup.z)
         else:
-            x_d = np.asarray(x_d, dtype=float)[..., None]
-            phasors = b_phase(self.offsets[arm], x_d, setup, self.mask_quad_scale)
+            curvature = self.mask_quad_scale * setup.omega / (2.0 * C_LIGHT * setup.h)
+            tilt = -setup.omega / (C_LIGHT * setup.f)
+        return curvature * (p2 * p2 - p1 * p1) + tilt * (p2 - p1) * np.asarray(x_d, dtype=float)
+
+    def amplitudes(self, arm: int, x_d) -> np.ndarray:
+        """Weight times phasor of each path of an arm relative to its first path, shape (..., 2)."""
+        second = np.exp(1j * self.relative_phase(arm, x_d))
+        phasors = np.stack([np.ones_like(second), second], axis=-1)
         return self.coefficients[..., arm, :] * phasors
 
 
@@ -209,30 +221,26 @@ class PairContribution:
     value: complex = field(repr=False)
 
 
-def g1_pair(
-    setup: SetupBasic,
-    i: int,
-    j: int,
-    x_c: float,
-    x_t: float,
-    mask_quad_scale: float = 1.0,
-) -> PairContribution:
-    """Contribution of the pinhole pair (i in arm C, j' in arm T), read off the path table.
+def g1_pair(setup: SetupBasic, i: int, j: int, x_c: float, x_t: float) -> PairContribution:
+    """Contribution of the pinhole pair (i in arm C, j' in arm T).
 
     value = conj(b_phase(x_i, x_c)) * b_phase(x_j', x_t) * sinc envelope,
-    with the envelope normalized so its peak is 1.
+    with the envelope read off the path table and normalized so its peak is 1.
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"pinhole indices must be 1 or 2, got i={i}, j={j}")
-    table = PathTable(setup, mask_quad_scale=mask_quad_scale)
+    table = PathTable(setup)
     envelope = float(table.envelopes(x_c, x_t)[i - 1, j - 1])
-    unit = complex(table.amplitudes(0, x_c)[i - 1].conjugate() * table.amplitudes(1, x_t)[j - 1])
+    offsets = table.offsets
+    unit = complex(
+        np.conj(b_phase(offsets[0, i - 1], x_c, setup)) * b_phase(offsets[1, j - 1], x_t, setup)
+    )
     return PairContribution(
         i=i, j=j, envelope=envelope, phase=cmath.phase(unit), value=unit * envelope
     )
 
 
-def phase_phi_basic(setup: SetupBasic, x_c, x_t, mask_quad_scale: float = 1.0):
+def phase_phi_basic(setup: SetupBasic, x_c, x_t):
     """Relative phase between the surviving pairs (2,2') and (1,1').
 
     phi = omega/(2*c*h) * (x1^2 + x2'^2 - x1'^2 - x2^2)
@@ -242,8 +250,7 @@ def phase_phi_basic(setup: SetupBasic, x_c, x_t, mask_quad_scale: float = 1.0):
     """
     omega = setup.omega
     quad = (
-        mask_quad_scale
-        * omega
+        omega
         / (2.0 * C_LIGHT * setup.h)
         * (setup.x1**2 + setup.x2p**2 - setup.x1p**2 - setup.x2**2)
     )
@@ -342,11 +349,13 @@ def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
     """Closed-form correlation of a path table at detector positions x_c, x_t (arrays).
 
     'exact' is the pair sum over all four path pairs. 'asymptotic' keeps the
-    matched pairs only, with unit envelopes: |w11 + w22*exp(i*phi)|^2 at
-    phase_phi_basic for masks and mz_phase behind tilted mirrors, which is
-    p_controlled_u for the polarized setups and 2 + 2*cos(phi) for the plain
-    mask. Asymptotic mode warns once per call for each violated regime margin
-    but phase, with its worst value over the positions.
+    matched pairs (1,1') and (2,2') of the same table at unit envelope:
+    |w11 + w22*exp(i*phi)|^2 with phi the T arm's relative phase minus the C
+    arm's. That phi is phase_phi_basic on a mask and -mz_phase behind tilted
+    mirrors, and the weights are real, so this is p_controlled_u for the
+    polarized setups and 2 + 2*cos(phi) for the plain mask. Asymptotic mode
+    warns once per call for each violated regime margin but phase, with its
+    worst value over the positions.
     """
     if mode == "exact":
         return pair_sum(
@@ -354,18 +363,14 @@ def closed_form(table: PathTable, x_c, x_t, mode: str = "exact"):
         )
     if mode != "asymptotic":
         raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    setup = table.setup
-    for problem in violations(condition_margins(setup, x_c, x_t)):
+    for problem in violations(condition_margins(table.setup, x_c, x_t)):
         if problem.key != "phase":
             warnings.warn(
                 f"asymptotic two-path form may be inaccurate: {problem}",
                 ConditionWarning,
                 stacklevel=3,
             )
-    if isinstance(setup, SetupMZ):
-        phi = mz_phase(setup, x_c, x_t)
-    else:
-        phi = phase_phi_basic(setup, x_c, x_t, table.mask_quad_scale)
+    phi = table.relative_phase(1, x_t) - table.relative_phase(0, x_c)
     weights = table.coefficients[..., 0, :] * table.coefficients[..., 1, :]
     return np.abs(weights[..., 0] + weights[..., 1] * np.exp(1j * phi)) ** 2
 
@@ -412,14 +417,6 @@ class CorrelationPattern:
                 raise ValueError("stderr shape does not match values")
             if np.any(stderr < 0.0):
                 raise ValueError("stderr must be nonnegative")
-
-    @property
-    def x_c(self) -> np.ndarray:
-        return self.grid[:, 0]
-
-    @property
-    def x_t(self) -> np.ndarray:
-        return self.grid[:, 1]
 
 
 __all__ = [

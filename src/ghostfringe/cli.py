@@ -32,7 +32,7 @@ from .analytic import (
     violations,
     worst_margins,
 )
-from .gate import TruthTable, basis_table
+from .gate import BASIS_LABELS, TruthTable, basis_table
 # Not called here: perfbench/tracer.py spans the one-point gate closed forms at
 # this lookup site, and its per-layer report needs the names to exist.
 from .gate import dn_corr_gate, dn_corr_mz  # noqa: F401
@@ -387,8 +387,8 @@ def emit(report: RunReport, out_dir) -> list[Path]:
 
 def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
     _write_csv(
-        path, preamble + [f"# table={which}", "input," + ",".join(table.outputs)],
-        table.values if which == "values" else table.stderr, labels=table.inputs,
+        path, preamble + [f"# table={which}", "input," + ",".join(BASIS_LABELS)],
+        table.values if which == "values" else table.stderr, labels=BASIS_LABELS,
     )
 
 

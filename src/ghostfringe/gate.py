@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -61,7 +60,6 @@ def dn_corr_gate(
     x_c: float,
     x_t: float,
     mode: str = "exact",
-    mask_quad_scale: float = 1.0,
 ) -> float:
     """Normalized joint fluctuation correlation of the pinhole-mask gate at one point.
 
@@ -69,8 +67,7 @@ def dn_corr_gate(
     geometry by the polarization coefficients; 'asymptotic' returns the
     two-path probability p_controlled_u at the geometric phase.
     """
-    table = path_table(setup, angles, mask_quad_scale)
-    return float(closed_form(table, x_c, x_t, mode))
+    return float(closed_form(path_table(setup, angles), x_c, x_t, mode))
 
 
 def dn_corr_mz(
@@ -101,8 +98,6 @@ class TruthTable:
     Rows are the inputs and columns the outputs, both in BASIS_LABELS order.
     """
 
-    inputs: ClassVar[tuple[str, ...]] = BASIS_LABELS
-    outputs: ClassVar[tuple[str, ...]] = BASIS_LABELS
     values: np.ndarray
     stderr: np.ndarray | None = None
 

@@ -86,17 +86,12 @@ class SourceModel:
 
     a: float
     n_emitters: int = 256
-    mean_photon_number: float = 1.0
 
     def __post_init__(self) -> None:
         if self.a <= 0.0:
             raise ValueError(f"a must be positive, got a={self.a}")
         if self.n_emitters < 1:
             raise ValueError(f"n_emitters must be at least 1, got {self.n_emitters}")
-        if self.mean_photon_number <= 0.0:
-            raise ValueError(
-                f"mean_photon_number must be positive, got {self.mean_photon_number}"
-            )
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -118,7 +113,7 @@ class Realization:
 
 
 def sample_realization(source: SourceModel, seed: int, index: int) -> Realization:
-    """Draw circular complex Gaussian amplitudes with <|alpha|^2> = mean_photon_number.
+    """Draw circular complex Gaussian amplitudes with mean photon number <|alpha|^2> = 1.
 
     Row `index` of the emitter-width stream: the generator is keyed by
     (seed, n_emitters) and the row starts at its own counter, so identical
@@ -271,9 +266,9 @@ def _amplitude_block(
     four-word Philox block, so row r starts at counter r * ceil(width / 2)
     whatever the block; an odd width leaves the second half of each row's
     last block unused. Each word gives the 53-bit uniform
-    (word >> 11) * 2**-53, and each amplitude is sqrt(-n * log1p(-u1)) *
+    (word >> 11) * 2**-53, and each amplitude is sqrt(-log1p(-u1)) *
     exp(2*pi*i * u2) of two of them (Box-Muller), a circular complex
-    Gaussian with <|alpha|^2> = n, the mean photon number. The phase comes
+    Gaussian with unit mean photon number <|alpha|^2> = 1. The phase comes
     from the table and polynomials of _unit_phase, within 2e-15 of
     np.exp(2j * pi * u2). width defaults to one amplitude per emitter; the
     ensemble passes the width of its path basis.
@@ -284,7 +279,7 @@ def _amplitude_block(
     generator = np.random.Generator(np.random.Philox(key=key, counter=start * blocks))
     uniforms = generator.random(4 * blocks * count).reshape(count, 2 * blocks, 2)[:, :width]
     radius = np.log1p(-uniforms[..., 0])
-    radius *= -source.mean_photon_number
+    np.negative(radius, out=radius)
     np.sqrt(radius, out=radius)
     amplitudes = _unit_phase(uniforms[..., 1])
     amplitudes *= radius

@@ -34,6 +34,7 @@ from ghostfringe.patterns import evaluate_pattern, make_grid
 
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 phase = st.floats(min_value=-10.0, max_value=10.0)
+detector = st.floats(min_value=-1e-3, max_value=1e-3)
 
 
 def gate_setup(ratio: float = 20.0) -> SetupGate:
@@ -146,8 +147,6 @@ def test_truth_table_rows_are_normalized():
 def test_truth_table_shape_validation():
     with pytest.raises(ValueError, match="shape"):
         TruthTable(values=np.zeros((3, 4)))
-    table = TruthTable(values=np.zeros((4, 4)))
-    assert table.inputs == table.outputs == BASIS_LABELS
 
 
 @pytest.mark.parametrize("phi_c", [0.0, math.pi / 2.0])
@@ -196,14 +195,26 @@ def test_mz_pair_coefficients_cross_signs():
     assert mz[(2, 1)] == -gate[(2, 1)]
 
 
-def test_gate_asymptotic_is_probability_at_geometric_phase():
-    setup = gate_setup()
-    angles = GateAngles(0.4, 0.9, 0.7, 0.2)
-    for x_c, x_t in ((0.0, 0.0), (1.2e-5, -0.7e-5)):
-        phi = phase_phi_basic(setup, x_c, x_t)
-        assert dn_corr_gate(setup, angles, x_c, x_t, mode="asymptotic") == pytest.approx(
-            p_controlled_u(angles, phi), rel=1e-12
-        )
+@given(
+    st.lists(st.floats(min_value=-15.0, max_value=15.0), min_size=4, max_size=4),
+    st.floats(min_value=0.5, max_value=2.0),
+    detector, detector, angle, angle, angle, angle,
+)
+@settings(max_examples=200)
+def test_gate_asymptotic_is_probability_at_geometric_phase(pinholes, f, x_c, x_t, pc, pt, tc, tt):
+    """Asymptotic mode, built from the path table, against p_controlled_u at phase_phi_basic.
+
+    Pinholes within +-15 l_coh of the reference source (l_coh = 5e-4 m).
+    """
+    x1, x2, x1p, x2p = np.multiply(pinholes, 5e-4)
+    setup = SetupGate(a=0.5e-3, wavelength=500e-9, z=1.0, f=f, x1=x1, x2=x2, x1p=x1p, x2p=x2p)
+    angles = GateAngles(pc, pt, tc, tt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        value = dn_corr_gate(setup, angles, x_c, x_t, mode="asymptotic")
+    assert value == pytest.approx(
+        p_controlled_u(angles, phase_phi_basic(setup, x_c, x_t)), abs=1e-11
+    )
 
 
 @given(angle, angle, angle, angle)
@@ -316,13 +327,30 @@ def test_mz_asymptotic_warns_once_per_call_with_worst_margin():
     ]
 
 
-def test_mz_asymptotic_is_probability_at_tilt_phase():
-    setup = mz_setup()
-    angles = GateAngles(0.4, 0.9, 0.7, 0.2)
-    x_c, x_t = 1.5e-5, -1e-5
-    assert dn_corr_mz(setup, angles, x_c, x_t, mode="asymptotic") == pytest.approx(
-        p_controlled_u(angles, mz_phase(setup, x_c, x_t)), rel=1e-12
+@given(
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.floats(min_value=0.2, max_value=0.5),
+    detector, detector, angle, angle, angle, angle,
+)
+@settings(max_examples=200)
+def test_mz_asymptotic_is_probability_at_tilt_phase(
+    tilt_c, tilt_t, zbar, x_c, x_t, pc, pt, tc, tt
+):
+    """Asymptotic mode, built from the path table, against p_controlled_u at mz_phase.
+
+    Each tilted path is displaced by up to +-30 l_coh of the reference source.
+    """
+    l_coh = 5e-4
+    setup = SetupMZ(
+        a=0.5e-3, wavelength=500e-9, z=1.0, zbar=zbar,
+        delta_c=tilt_c * l_coh / (2.0 * zbar), delta_t=tilt_t * l_coh / (2.0 * zbar),
     )
+    angles = GateAngles(pc, pt, tc, tt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        value = dn_corr_mz(setup, angles, x_c, x_t, mode="asymptotic")
+    assert value == pytest.approx(p_controlled_u(angles, mz_phase(setup, x_c, x_t)), abs=1e-11)
 
 
 def test_mz_exact_truth_table_at_origin():

@@ -78,8 +78,6 @@ def test_source_validation():
         SourceModel(a=0.0)
     with pytest.raises(ValueError, match="n_emitters"):
         SourceModel(a=1e-3, n_emitters=0)
-    with pytest.raises(ValueError, match="mean_photon_number"):
-        SourceModel(a=1e-3, mean_photon_number=-1.0)
 
 
 def test_realizations_are_reproducible_and_independent():
@@ -101,11 +99,12 @@ def test_realization_index_must_be_nonnegative():
 PHASE_TABLE = np.exp(2j * math.pi * (np.arange(4096) + 0.5) / 4096)
 
 
-def _philox_rows(seed, width, indices, mean_photon_number):
+def _philox_rows(seed, width, indices):
     """Oracle: a fresh Philox generator per realization at its own counter, then Box-Muller.
 
     Row r of a width-w stream holds the Philox blocks r * ceil(w / 2) + 1 ..,
-    two words per amplitude: u1 sets the modulus, u2 the phase. The phase
+    two words per amplitude: u1 sets the modulus sqrt(-log1p(-u1)) of unit
+    mean photon number, u2 the phase. The phase
     exp(2 pi i u2) is the entry j = floor(4096 u2) of PHASE_TABLE, rotated by
     x = 2 pi (4096 u2 - j - 1/2) / 4096 through the cos and sin polynomials
     1 - x^2/2 + x^4/24 and x - x^3/6, in the module's Horner steps, so that
@@ -123,7 +122,7 @@ def _philox_rows(seed, width, indices, mean_photon_number):
         cos = (x * x * (1 / 24) - 0.5) * (x * x) + 1.0
         sin = (x * x * (-1 / 6) + 1.0) * x
         phase = (cos + 1j * sin) * PHASE_TABLE[j]
-        rows.append(phase * np.sqrt(-mean_photon_number * np.log1p(-u[0::2])))
+        rows.append(phase * np.sqrt(-np.log1p(-u[0::2])))
     return np.array(rows)
 
 
@@ -136,9 +135,9 @@ def _pieces(source, seed, start, width, edges):
 
 
 def test_amplitude_block_matches_fresh_generator_per_realization():
-    source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
+    source = SourceModel(a=1e-3, n_emitters=48)
     seed, start, n = 19, 1000, 12
-    expected = _philox_rows(seed, 48, range(start, start + n), 2.5)
+    expected = _philox_rows(seed, 48, range(start, start + n))
     assert np.array_equal(montecarlo._amplitude_block(source, seed, start, n), expected)
     for cuts in ([5], [1, 2, 11], list(range(1, n))):
         assert np.array_equal(_pieces(source, seed, start, None, [0, *cuts, n]), expected), cuts
@@ -150,9 +149,9 @@ def test_amplitude_block_matches_fresh_generator_per_realization():
 @pytest.mark.parametrize("width", [1, 3, 4, 64])
 def test_amplitude_block_is_partition_invariant(width):
     """Any split into blocks gives the same rows; odd widths leave half a Philox block unused."""
-    source = SourceModel(a=1e-3, n_emitters=64, mean_photon_number=0.7)
+    source = SourceModel(a=1e-3, n_emitters=64)
     seed, start, n = 2**40 + 3, 517, 23
-    expected = _philox_rows(seed, width, range(start, start + n), 0.7)
+    expected = _philox_rows(seed, width, range(start, start + n))
     whole = montecarlo._amplitude_block(source, seed, start, n, width)
     assert whole.shape == (n, width)
     assert np.array_equal(whole, expected)
@@ -164,9 +163,9 @@ def test_amplitude_block_is_partition_invariant(width):
 
 def test_amplitude_block_keys_its_stream_by_width():
     """Each width is its own stream: a narrow block is not the head of a wide one."""
-    source = SourceModel(a=1e-3, n_emitters=48, mean_photon_number=2.5)
+    source = SourceModel(a=1e-3, n_emitters=48)
     narrow = montecarlo._amplitude_block(source, 19, 1000, 12, 3)
-    assert np.array_equal(narrow, _philox_rows(19, 3, range(1000, 1012), 2.5))
+    assert np.array_equal(narrow, _philox_rows(19, 3, range(1000, 1012)))
     assert np.array_equal(_pieces(source, 19, 1000, 3, [0, 4, 8, 12]), narrow)
     wide = montecarlo._amplitude_block(source, 19, 1000, 12)
     assert not np.any(wide[:, :3] == narrow)
@@ -176,7 +175,7 @@ def test_seed_keys_the_generator_by_its_uint64_pattern():
     """Keys at or above 2**63, such as negative seeds mod 2**64, stay exact."""
     source = SourceModel(a=1e-3, n_emitters=16)
     for seed in (-1, 2**63 + 5):
-        expected = _philox_rows(seed & (2**64 - 1), 16, [3], 1.0)[0]
+        expected = _philox_rows(seed & (2**64 - 1), 16, [3])[0]
         assert np.array_equal(sample_realization(source, seed, 3).amplitudes, expected)
     zero = sample_realization(source, 0, 3).amplitudes
     assert not np.array_equal(sample_realization(source, -1, 3).amplitudes, zero)
@@ -203,25 +202,25 @@ def test_unit_phase_is_complex_exp_to_rounding():
 
 
 def test_amplitude_moments():
-    """<|alpha|^2> is the mean photon number, <alpha^2> vanishes and <|alpha|^4> = 2 n^2.
+    """<|alpha|^2> is the unit mean photon number, <alpha^2> vanishes and <|alpha|^4> = 2.
 
     Checked on the emitter-width stream of sample_realization and on an odd
     path-basis width, which leaves half of each row's last Philox block unused.
     """
-    source = SourceModel(a=1e-3, n_emitters=64, mean_photon_number=2.5)
+    source = SourceModel(a=1e-3, n_emitters=64)
     emitters = np.concatenate(
         [sample_realization(source, seed=11, index=k).amplitudes for k in range(2000)]
     )
     path_basis = montecarlo._amplitude_block(source, 11, 0, 40000, 3).ravel()
     for draws in (emitters, path_basis):
         mean_n = np.mean(np.abs(draws) ** 2)
-        assert mean_n == pytest.approx(2.5, rel=0.01)
+        assert mean_n == pytest.approx(1.0, rel=0.01)
         second = np.mean(draws**2)
         sigma = np.std(draws**2) / math.sqrt(draws.size)
         assert abs(second) < 3.0 * sigma, f"<alpha^2> = {second} not consistent with zero"
         fourth = np.abs(draws) ** 4
         sigma = fourth.std() / math.sqrt(draws.size)
-        assert abs(fourth.mean() - 2.0 * 2.5**2) < 4.0 * sigma, f"<|alpha|^4> = {fourth.mean()}"
+        assert abs(fourth.mean() - 2.0) < 4.0 * sigma, f"<|alpha|^4> = {fourth.mean()}"
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +455,7 @@ def _ensemble_realizations(source, table, detectors, seed, n):
     the emitter amplitudes z @ Q^H.
     """
     basis, _ = montecarlo._path_basis(source, table, detectors)
-    z = _philox_rows(seed, basis.shape[1], range(n), source.mean_photon_number)
+    z = _philox_rows(seed, basis.shape[1], range(n))
     return [
         Realization(amplitudes=row @ basis.conj().T, seed=seed, index=k, source=source)
         for k, row in enumerate(z)
@@ -899,7 +898,7 @@ def test_ensemble_memory_does_not_grow_with_realizations():
     ids=["basic", "mz"],
 )
 def test_covariance_is_calibrated_against_noise_free_reference(setup, angles, grid):
-    """Seed sweep against the discretized source's exact covariance n^2 |K_C^H K_T|^2.
+    """Seed sweep against the discretized source's exact covariance |K_C^H K_T|^2.
 
     By the Gaussian moment theorem, each column's expected intensity
     covariance is exactly the reference, so the seed-averaged covariance
@@ -907,11 +906,11 @@ def test_covariance_is_calibrated_against_noise_free_reference(setup, angles, gr
     per-seed z-scores (t-distributed, 9 degrees of freedom: mean z^2 = 9/7)
     must have a mean square near 1.29.
     """
-    source = SourceModel(a=setup.a, n_emitters=64, mean_photon_number=1.5)
+    source = SourceModel(a=setup.a, n_emitters=64)
     table = path_table(setup, angles)
     kernel_c = _direct_kernel(source, table, "C", grid[:, 0])
     kernel_t = _direct_kernel(source, table, "T", grid[:, 1])
-    reference = 1.5**2 * np.abs((kernel_c.conj() * kernel_t).sum(axis=0)) ** 2
+    reference = np.abs((kernel_c.conj() * kernel_t).sum(axis=0)) ** 2
     _, projected = montecarlo._path_basis(source, table, [("C", grid[:, 0]), ("T", grid[:, 1])])
     covariances, stderrs = np.array([
         montecarlo._ensemble_moments(source, seed, 2000, *projected)[1:]

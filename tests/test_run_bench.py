@@ -1,6 +1,8 @@
 """bench/run_bench.py: per-metric verdicts of alternating parent/change runs."""
 
 import importlib.util
+import json
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,46 @@ def test_higher_is_better_counts_wins_upward():
     out = run_bench.summarize(runs_of("points_per_s", PARENT, change), [RATE])["points_per_s"]
     assert out["change_better_pairs"] == 10
     assert out["gain"] and out["within_bound"]
+
+
+def test_main_records_the_provenance_of_every_run(monkeypatch, tmp_path):
+    """Each run keeps its start, its pair's first side and the load read just before it.
+
+    The verdicts are those of the same runs without provenance.
+    """
+    spec = json.loads((run_bench.ROOT / "BENCHMARK.json").read_text())
+    spec["workloads"] = spec["workloads"][:1]
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    events = []
+    loads = iter([0.5, 1.5, 2.5, 3.5])
+
+    def getloadavg():
+        events.append("load")
+        return (next(loads), 0.0, 0.0)
+
+    def fake_run(checkout, workload, seed):
+        events.append(checkout)
+        return {"metrics": {m["name"]: {"value": float(seed)} for m in spec["end_to_end"]},
+                "failed": 0, "attempted": 5, "correct": True, "machine": {}}
+
+    monkeypatch.setattr(run_bench, "ROOT", root)
+    monkeypatch.setattr(run_bench, "git", lambda *args: "abc1234")
+    monkeypatch.setattr(run_bench, "unpack", lambda commit, scratch: "P")
+    monkeypatch.setattr(run_bench, "snapshot", lambda scratch: "C")
+    monkeypatch.setattr(run_bench.os, "getloadavg", getloadavg)
+    monkeypatch.setattr(run_bench, "run", fake_run)
+    argv = ["--parent", "x", "--pr", "t", "--scratch", str(tmp_path / "s"), "--seeds", "2"]
+    assert run_bench.main(argv) == 0
+    assert events == ["load", "P", "load", "C", "load", "C", "load", "P"]
+    out = json.loads((root / "BENCH_t.json").read_text())["workloads"][spec["workloads"][0]["name"]]
+    provenance = out.pop("provenance")
+    assert [r["load_1min"] for r in provenance["parent"]] == [0.5, 3.5]
+    assert [r["load_1min"] for r in provenance["change"]] == [1.5, 2.5]
+    assert [r["first"] for r in provenance["parent"]] == ["parent", "change"]
+    assert [r["first"] for r in provenance["change"]] == ["parent", "change"]
+    for record in (*provenance["parent"], *provenance["change"]):
+        datetime.fromisoformat(record["started"])
+    plain = {side: [fake_run(side, "w", seed) for seed in (1, 2)] for side in ("parent", "change")}
+    assert out == json.loads(json.dumps(run_bench.summarize(plain, spec["end_to_end"])))
