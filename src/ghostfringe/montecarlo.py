@@ -256,27 +256,30 @@ class EnsembleEstimate:
         return self.pattern.stderr
 
 
-def _amplitude_block(
-    source: SourceModel, seed: int, start: int, count: int, width: int | None = None
-) -> np.ndarray:
-    """Amplitudes of realizations start .. start + count - 1, width per row.
+def _philox_stream(seed: int, width: int, start: int = 0) -> np.random.Generator:
+    """The amplitude stream of (seed, width), positioned at realization start.
 
-    One Philox draw serves the whole block. The generator is keyed by
-    (seed mod 2**64, width), and every amplitude takes one half of a
-    four-word Philox block, so row r starts at counter r * ceil(width / 2)
-    whatever the block; an odd width leaves the second half of each row's
-    last block unused. Each word gives the 53-bit uniform
+    The Philox generator is keyed by (seed mod 2**64, width), and every
+    amplitude takes one half of a four-word Philox block, so row r starts at
+    counter r * ceil(width / 2); an odd width leaves the second half of each
+    row's last block unused. Rows are whole blocks, so drawing rows in order
+    from one generator gives the same amplitudes as a generator per row.
+    """
+    key = np.array([seed & _UINT64_MASK, width], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=start * -(-width // 2)))
+
+
+def _draw_amplitudes(generator: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """The next count rows of a _philox_stream of that width, width amplitudes per row.
+
+    One Philox draw serves all rows. Each word gives the 53-bit uniform
     (word >> 11) * 2**-53, and each amplitude is sqrt(-log1p(-u1)) *
     exp(2*pi*i * u2) of two of them (Box-Muller), a circular complex
     Gaussian with unit mean photon number <|alpha|^2> = 1. The phase comes
     from the table and polynomials of _unit_phase, within 2e-15 of
-    np.exp(2j * pi * u2). width defaults to one amplitude per emitter; the
-    ensemble passes the width of its path basis.
+    np.exp(2j * pi * u2).
     """
-    width = source.n_emitters if width is None else width
     blocks = -(-width // 2)
-    key = np.array([seed & _UINT64_MASK, width], dtype=np.uint64)
-    generator = np.random.Generator(np.random.Philox(key=key, counter=start * blocks))
     uniforms = generator.random(4 * blocks * count).reshape(count, 2 * blocks, 2)[:, :width]
     radius = np.log1p(-uniforms[..., 0])
     np.negative(radius, out=radius)
@@ -284,6 +287,19 @@ def _amplitude_block(
     amplitudes = _unit_phase(uniforms[..., 1])
     amplitudes *= radius
     return amplitudes
+
+
+def _amplitude_block(
+    source: SourceModel, seed: int, start: int, count: int, width: int | None = None
+) -> np.ndarray:
+    """Amplitudes of realizations start .. start + count - 1, width per row.
+
+    Rows of the keyed stream _philox_stream(seed, width, start). width
+    defaults to one amplitude per emitter; an ensemble pass draws in the
+    width of its path basis, from one stream for the whole pass.
+    """
+    width = source.n_emitters if width is None else width
+    return _draw_amplitudes(_philox_stream(seed, width, start), count, width)
 
 
 def _unit_phase(u):
@@ -363,10 +379,11 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
     amplitude per row, once whatever M is. kernel_t None means the T arm is
     the C arm, column for column: each field or pair coefficient is then
     formed once and serves both. The realizations are walked from 0 in chunks
-    of CHUNK_VALUES // (width + 2 * M) rows (width + M without kernel_t), so
-    memory does not grow with n_realizations, and each chunk is split at the
-    edges of the N_BATCHES batches into per-batch sums of I_C, I_T and
-    I_C * I_T.
+    of CHUNK_VALUES // (width + 2 * M) rows (width + M without kernel_t),
+    drawn in order from one keyed stream, so memory does not grow with
+    n_realizations and one Philox generator serves the pass. Each chunk is
+    split at the edges of the N_BATCHES batches into per-batch sums of I_C,
+    I_T and I_C * I_T.
 
     Every intensity is a sum over pairs of path amplitudes,
     |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
@@ -396,9 +413,10 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
         grams = np.zeros((N_BATCHES, width * width + 1, width * width + 1))
     else:
         sums = np.zeros((N_BATCHES, 3, half))
+    stream = _philox_stream(seed, width)
     for first in range(0, n_realizations, rows):
         count = min(rows, n_realizations - first)
-        amplitudes = _amplitude_block(source, seed, first, count, width)
+        amplitudes = _draw_amplitudes(stream, count, width)
         if pairs is not None:
             values = _pair_features(amplitudes, pairs, features[:count])
         else:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ghostfringe
 from ghostfringe import cli
@@ -444,6 +446,116 @@ def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
         expected = per_cell_csv(head + [f"# pattern_mode={patterns[mode].mode}", header],
                                 table.tolist())
         assert (out / f"scan_{mode}.csv").read_bytes() == expected.encode()
+
+
+def kernel_text(values, columns=1):
+    """The numpy kernel's CSV text for values laid out in rows of `columns` cells."""
+    block = np.asarray(values, dtype=float).reshape(-1, columns)
+    cells = cli._Cells(len(block), list(range(columns)))
+    return cli._format_block(block, cells).tobytes().decode("ascii")
+
+
+def per_cell_text(values, columns=1):
+    return per_cell_csv([], np.asarray(values, dtype=float).reshape(-1, columns).tolist())
+
+
+# Raw float64 bit patterns: every exponent, and the exponents of 2**-24 .. 2**60
+# often, since only they reach the kernel's decades 1e-6 .. 1e17.
+KERNEL_EXPONENTS = st.integers(1023 - 24, 1023 + 60)
+DOUBLE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), KERNEL_EXPONENTS, st.integers(0, 2**52 - 1)),
+)
+
+
+@given(st.lists(DOUBLE_BITS, min_size=1, max_size=60), st.integers(1, 4))
+@example([0, 1 << 63, 1, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000], 3)
+def test_kernel_matches_format_on_any_double(bits, columns):
+    values = np.array(bits + [0] * (-len(bits) % columns), dtype=np.uint64).view(float)
+    assert kernel_text(values, columns) == per_cell_text(values, columns)
+
+
+def test_kernel_matches_format_at_decade_boundaries():
+    powers = [float(f"1e{k}") for k in range(-7, 18)]
+    values = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+    values += [-v for v in values]
+    assert kernel_text(values) == per_cell_text(values)
+
+
+def test_kernel_rounds_halfway_ties_to_even():
+    """m * 2**(E - 17), m odd, lies halfway between two 17-digit decimals in decade E."""
+    values = []
+    for e in range(-6, 16):
+        scale = 2.0 ** (e - 17)
+        low = int(10.0**e / scale) + 1 | 1
+        high = min(int(10.0 ** (e + 1) / scale), 2**53) - 1 | 1
+        for m in (low, low + 2, (low + high) // 2 | 1, high - 2, high):
+            value = m * scale
+            assert 10.0**e <= value < 10.0 ** (e + 1)
+            values += [value, -value]
+    assert kernel_text(values) == per_cell_text(values)
+    assert kernel_text([1000000000000000.25, 1000000000000000.75, -1000000000000000.25]) == \
+        "1000000000000000.2\n1000000000000000.8\n-1000000000000000.2\n"
+
+
+def test_kernel_writes_exponents_points_and_stripped_zeros():
+    values = [1e-5, 2.5e-6, -3e-5, 1.25e-4, 0.5, -0.1, 10.0, 1234.5, 1e16, 12345678901234568.0]
+    assert kernel_text(values) == (
+        "1.0000000000000001e-05\n2.5000000000000002e-06\n-3.0000000000000001e-05\n"
+        "0.000125\n0.5\n-0.10000000000000001\n10\n1234.5\n10000000000000000\n"
+        "12345678901234568\n"
+    )
+
+
+def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
+    """Blocks large enough for the kernel, with every kind of cell it hands back to `%`."""
+    config = parse_config(write_config(tmp_path, BASIC_SETUP))
+    n = 2 * cli._ROWS_PER_BLOCK + 5
+    rng = np.random.default_rng(5)
+    special = [math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1e308, 1e-6,
+               9.999999999999999e-7, 1e17, 99999999999999984.0, 0.0, -0.0]
+    x_c = np.linspace(-2e-4, 2e-4, n)
+    x_c[::97] = 0.0
+    x_c[1::97] = -0.0
+    x_c[2:2 + 2 * len(special):2] = special
+    x_c[3:3 + 2 * len(special):2] = np.negative(special)
+    x_t = x_c.copy()
+    x_t[1::97] = 0.0  # repeats x_C but for the sign of some zeros
+    values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-9, 19, n)
+    values[: len(special)] = special
+    stderr = values[::-1].copy()
+    grid = np.column_stack([x_c, x_t])
+    patterns = {
+        "exact": CorrelationPattern(grid, values, "exact"),
+        "mc": CorrelationPattern(grid, values, "monte-carlo", stderr=stderr),
+    }
+    out = tmp_path / "out"
+    emit(make_report(config, grid, patterns), out)
+    head = preamble_lines(config)
+    for mode, table, header in (
+        ("exact", np.column_stack([grid, values]), "x_C,x_T,value"),
+        ("mc", np.column_stack([grid, values, stderr]), "x_C,x_T,value,stderr"),
+    ):
+        expected = per_cell_csv(head + [f"# pattern_mode={patterns[mode].mode}", header],
+                                table.tolist())
+        assert (out / f"scan_{mode}.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("cells", [cli._KERNEL_MIN_CELLS - 1, cli._KERNEL_MIN_CELLS + 1])
+def test_write_csv_paths_agree_at_the_kernel_threshold(tmp_path, monkeypatch, cells):
+    """The same cells, one below and one above the size that selects the kernel."""
+    calls = []
+    kernel = cli._format_block
+    monkeypatch.setattr(cli, "_format_block", lambda *args: calls.append(1) or kernel(*args))
+    rng = np.random.default_rng(cells)
+    values = rng.standard_normal(cells) * 10.0 ** rng.integers(-8, 18, cells)
+    values[::7] *= -1.0
+    values[::11] = 0.0
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["value"], values[:, None])
+    assert path.read_text() == per_cell_csv(["value"], values[:, None].tolist())
+    assert len(calls) == (cells >= cli._KERNEL_MIN_CELLS)
 
 
 def test_write_csv_memory_stays_flat_in_rows(tmp_path):

@@ -171,6 +171,37 @@ def test_amplitude_block_keys_its_stream_by_width():
     assert not np.any(wide[:, :3] == narrow)
 
 
+@pytest.mark.parametrize("width, chunks", [(3, [7, 5, 13]), (4, [5, 13, 7]), (256, [13, 7, 5])])
+def test_stream_drawn_in_chunks_matches_keyed_blocks(width, chunks):
+    """Rows are whole Philox blocks: one stream drawn chunk by chunk gives each keyed block."""
+    source = SourceModel(a=1e-3, n_emitters=64)
+    stream = montecarlo._philox_stream(29, width)
+    start = 0
+    for count in chunks:
+        drawn = montecarlo._draw_amplitudes(stream, count, width)
+        assert np.array_equal(drawn, montecarlo._amplitude_block(source, 29, start, count, width))
+        start += count
+
+
+def test_ensemble_pass_builds_one_philox_generator(monkeypatch):
+    """An estimate on the ensemble-scan geometry draws its 13 chunks from one keyed generator."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    # The asymmetric arbitration mask, scanned over 81 points of 4 fringe periods.
+    setup = SetupBasic(a=0.5e-3, wavelength=500e-9, z=1.0, f=1.0,
+                       x1=-5e-3, x2=5.5e-3, x1p=-4.8e-3, x2p=5.3e-3)
+    step = 500e-9 / 10.5e-3 / 20.0
+    grid = make_grid("x_C", 0.0, 80 * step, step, 0.0)
+    estimate_dn_corr(setup, grid, n_realizations=20000, seed=0, n_emitters=256)
+    assert len(built) == 1
+
+
 def test_seed_keys_the_generator_by_its_uint64_pattern():
     """Keys at or above 2**63, such as negative seeds mod 2**64, stay exact."""
     source = SourceModel(a=1e-3, n_emitters=16)
@@ -487,7 +518,7 @@ def test_mz_mean_intensity_forms_each_field_once():
     """
     setup, xs, n = mz_setup(), np.linspace(-1e-4, 1e-4, 21), 300
     columns = []
-    original = montecarlo._amplitude_block
+    original = montecarlo._draw_amplitudes
 
     class Recording(np.ndarray):
         def __matmul__(self, other):
@@ -496,7 +527,7 @@ def test_mz_mean_intensity_forms_each_field_once():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            montecarlo, "_amplitude_block", lambda *args: original(*args).view(Recording)
+            montecarlo, "_draw_amplitudes", lambda *args: original(*args).view(Recording)
         )
         mean, stderr = estimate_mean_intensity(
             setup, "C", xs, n_realizations=n, seed=3, angles=QUARTER_ANGLES, n_emitters=64
@@ -591,15 +622,23 @@ def test_truth_table_estimate_recovers_permutation_structure():
 
 
 def test_truth_table_draws_each_realization_once(monkeypatch):
-    drawn, widths = [], set()
-    original = montecarlo._amplitude_block
+    drawn, widths, position = [], set(), {}
+    original_stream, original = montecarlo._philox_stream, montecarlo._draw_amplitudes
 
-    def counting(source, seed, start, count, width=None):
+    def stream(seed, width, start=0):
+        generator = original_stream(seed, width, start)
+        position[generator] = start
+        return generator
+
+    def counting(generator, count, width):
+        start = position[generator]
         drawn.extend(range(start, start + count))
+        position[generator] = start + count
         widths.add(width)
-        return original(source, seed, start, count, width)
+        return original(generator, count, width)
 
-    monkeypatch.setattr(montecarlo, "_amplitude_block", counting)
+    monkeypatch.setattr(montecarlo, "_philox_stream", stream)
+    monkeypatch.setattr(montecarlo, "_draw_amplitudes", counting)
     for setup in (gate_setup(), mz_setup()):
         drawn.clear()
         widths.clear()
@@ -683,14 +722,14 @@ def mask_cases(draw):
 def _drawn_widths(estimate):
     """Widths the ensemble engine draws at while running estimate()."""
     widths = set()
-    original = montecarlo._amplitude_block
+    original = montecarlo._draw_amplitudes
 
-    def recording(source, seed, start, count, width=None):
+    def recording(generator, count, width):
         widths.add(width)
-        return original(source, seed, start, count, width)
+        return original(generator, count, width)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_amplitude_block", recording)
+        patch.setattr(montecarlo, "_draw_amplitudes", recording)
         estimate()
     return widths
 
