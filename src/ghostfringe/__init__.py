@@ -37,7 +37,6 @@ from .gate import (
     p_controlled_u,
 )
 from .montecarlo import (
-    EnsembleEstimate,
     Realization,
     SourceModel,
     compare_patterns,

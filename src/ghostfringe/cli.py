@@ -276,7 +276,7 @@ def run(config: ExperimentConfig) -> RunReport:
             return estimate_dn_corr(
                 config.setup, grid, config.n_realizations, config.seed,
                 angles=config.angles, n_emitters=config.n_emitters,
-            ).pattern
+            )
         return evaluate_pattern(config.setup, grid, mode, angles=config.angles)
 
     patterns, timings = _each_mode(config, evaluate)
@@ -591,28 +591,14 @@ def _format_block(block: np.ndarray, w: _Cells) -> np.ndarray:
     return slots[keep.reshape(-1)]
 
 
-def _format_rows(block: np.ndarray, first: list[int], labels=None) -> str:
-    """The rows of block as CSV text from one `%` call, every cell `%.17g` on its own.
-
-    A repeated column's strings are formatted once and go through `%s`.
-    """
-    n, n_columns = block.shape
-    positions = {j: [p for p in range(n_columns) if first[p] == j] for j in set(first)}
-    shared = {j for j, where in positions.items() if len(where) > 1}
-    cells = ["%s" if first[p] in shared else "%.17g" for p in range(n_columns)]
-    lead = 0 if labels is None else 1
-    row = ",".join(["%s"] * lead + cells) + "\n"
-    width = lead + n_columns
-    args = [None] * (n * width)
-    if lead:
-        args[0::width] = labels
-    for j, where in positions.items():
-        column = block[:, j].tolist()
-        if j in shared:
-            column = (("%.17g\n" * n) % tuple(column)).split("\n")[:-1]
-        for p in where:
-            args[lead + p::width] = column
-    return (row * n) % tuple(args)
+def _format_rows(block: np.ndarray, labels=None) -> str:
+    """The rows of block as CSV text from one `%` call, every cell `%.17g` on its own."""
+    cells = ["%.17g"] * block.shape[1]
+    rows = block.tolist()
+    if labels is not None:
+        cells = ["%s", *cells]
+        rows = [[label, *row] for label, row in zip(labels, rows)]
+    return ((",".join(cells) + "\n") * len(rows)) % tuple(v for row in rows for v in row)
 
 
 def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
@@ -625,10 +611,11 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     blocks, and tables with labels, take one `%` call per block
     (_format_rows). labels, when given, lead each row as a string.
 
-    A column whose float64 bits equal an earlier column's (x_T on a diagonal
-    scan) is formatted once per block and copied to every position that
-    repeats it. The test is on bits, not `==`: -0.0 and 0.0 compare equal but
-    print as `-0` and `0`, so only bit equality keeps every output byte.
+    On the kernel path, a column whose float64 bits equal an earlier column's
+    (x_T on a diagonal scan) is formatted once per block and copied to every
+    position that repeats it. The test is on bits, not `==`: -0.0 and 0.0
+    compare equal but print as `-0` and `0`, so only bit equality keeps every
+    output byte.
     """
     table = np.asarray(table, dtype=float)
     bits = table.view(np.uint64)
@@ -647,7 +634,7 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
                 fh.write(str(_format_block(block, cells), "ascii"))
             else:
                 lead = None if labels is None else labels[start:start + len(block)]
-                fh.write(_format_rows(block, first, lead))
+                fh.write(_format_rows(block, lead))
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:

@@ -55,35 +55,25 @@ def p_cnot(angles: GateAngles) -> float:
 
 
 def dn_corr_gate(
-    setup: SetupGate,
+    setup: SetupGate | SetupMZ,
     angles: GateAngles,
     x_c: float,
     x_t: float,
     mode: str = "exact",
 ) -> float:
-    """Normalized joint fluctuation correlation of the pinhole-mask gate at one point.
+    """Normalized joint fluctuation correlation of the gate at one detector pair.
 
-    mode 'exact' weights the four pair contributions of the underlying
-    geometry by the polarization coefficients; 'asymptotic' returns the
-    two-path probability p_controlled_u at the geometric phase.
+    The pinhole-mask gate (SetupGate) and the tilted-mirror gate (SetupMZ)
+    share one path table: mode 'exact' sums the four path pairs, each
+    weighted by its polarization coefficients and its envelope at the
+    effective detector separation; 'asymptotic' returns the two-path
+    probability p_controlled_u at the geometric or tilt phase.
     """
     return float(closed_form(path_table(setup, angles), x_c, x_t, mode))
 
 
-def dn_corr_mz(
-    setup: SetupMZ,
-    angles: GateAngles,
-    x_c: float,
-    x_t: float,
-    mode: str = "exact",
-) -> float:
-    """Normalized joint fluctuation correlation of the tilted-mirror gate at one point.
-
-    Exact mode sums the four path pairs with envelopes evaluated at the
-    effective detector separations and phases exp(i*omega*(x_ci^2 - x_tj^2)
-    / (2*z*c)); asymptotic mode is p_controlled_u at mz_phase.
-    """
-    return float(closed_form(path_table(setup, angles), x_c, x_t, mode))
+# The tilted-mirror name of the same closed form.
+dn_corr_mz = dn_corr_gate
 
 
 # ---------------------------------------------------------------------------

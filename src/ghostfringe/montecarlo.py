@@ -237,25 +237,6 @@ def _free_kernel(wavelength: float, z: float, source: SourceModel, x_d: float) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnsembleEstimate:
-    """Monte-Carlo correlation pattern, normalized to its maximum.
-
-    raw_values and raw_stderr keep the unnormalized covariances; scale is the
-    peak envelope-weighted covariance the pattern was divided by.
-    """
-
-    pattern: CorrelationPattern
-    n_realizations: int
-    raw_values: np.ndarray
-    raw_stderr: np.ndarray
-    scale: float
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return self.pattern.stderr
-
-
 def _philox_stream(seed: int, width: int, start: int = 0) -> np.random.Generator:
     """The amplitude stream of (seed, width), positioned at realization start.
 
@@ -450,6 +431,28 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
     return mean_c, mean_ct - mean_c * mean_t, stderr
 
 
+def _normalized_covariance(setup, table: PathTable, grid, n_realizations, seed, n_emitters):
+    """Each column's intensity covariance over the envelope power at its point, peak-normalized.
+
+    The columns are the table's settings at each point of the (N, 2) grid of
+    (x_c, x_t) pairs, all from one ensemble pass. The covariances are divided
+    by the envelope power of the geometry at their point, the same
+    denominator the closed forms use, then by the largest of them; the
+    batch-means stderr takes both divisions. Pinhole masks have a constant
+    envelope power, so only tilted-mirror results are reshaped by it.
+    Returns (values, stderr).
+    """
+    source = SourceModel(a=setup.a, n_emitters=n_emitters)
+    _, kernels = _path_basis(source, table, [("C", grid[:, 0]), ("T", grid[:, 1])])
+    _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
+    weight = envelope_power(setup, grid[:, 0], grid[:, 1])
+    weighted = covariance / weight
+    scale = weighted.max()
+    if scale <= 0.0:
+        raise ValueError("ensemble estimate has no positive peak to normalize by")
+    return weighted / scale, stderr / weight / scale
+
+
 def estimate_dn_corr(
     setup: SetupBasic | SetupGate | SetupMZ,
     grid,
@@ -457,41 +460,21 @@ def estimate_dn_corr(
     seed: int,
     angles: GateAngles | None = None,
     n_emitters: int = 256,
-) -> EnsembleEstimate:
+) -> CorrelationPattern:
     """Ensemble estimate of the fluctuation correlation over a (N, 2) grid.
 
-    Raw covariances are divided pointwise by the envelope power of the
-    geometry, the same denominator the closed forms use, then the pattern is
-    normalized to its maximum with batch-means standard errors (same scale).
-    For pinhole-mask setups the envelope power is constant along any detector
-    scan, so only tilted-mirror patterns are reshaped by it. Identical
-    arguments give bit-identical results.
+    The normalized covariance of the path table at every grid point
+    (_normalized_covariance), clipped at zero, with its batch-means standard
+    errors on the same scale. Identical arguments give bit-identical results.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
-    source = SourceModel(a=setup.a, n_emitters=n_emitters)
-    detectors = [("C", grid[:, 0]), ("T", grid[:, 1])]
-    _, kernels = _path_basis(source, path_table(setup, angles), detectors)
-    _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
-    weight = envelope_power(setup, grid[:, 0], grid[:, 1])
-    weighted = covariance / weight
-    weighted_err = stderr / weight
-    scale = float(weighted.max())
-    if scale <= 0.0:
-        raise ValueError("estimated pattern has no positive peak to normalize by")
-    pattern = CorrelationPattern(
-        grid=grid,
-        values=np.clip(weighted, 0.0, None) / scale,
-        mode="monte-carlo",
-        stderr=weighted_err / scale,
+    values, stderr = _normalized_covariance(
+        setup, path_table(setup, angles), grid, n_realizations, seed, n_emitters
     )
-    return EnsembleEstimate(
-        pattern=pattern,
-        n_realizations=n_realizations,
-        raw_values=covariance,
-        raw_stderr=stderr,
-        scale=scale,
+    return CorrelationPattern(
+        grid=grid, values=np.clip(values, 0.0, None), mode="monte-carlo", stderr=stderr
     )
 
 
@@ -529,34 +512,30 @@ def estimate_truth_table(
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 
-    The 16 settings are kernel columns of one ensemble pass, so they share
-    the same realizations and each realization is drawn once. The table is
-    normalized by its largest raw entry: per-entry normalization would erase
-    the scale the truth table is about.
+    The scan estimator's normalized covariance of the 16-setting basis table
+    at the one point (x_c, x_t): the settings are kernel columns of one
+    ensemble pass, so they share the same realizations and each realization
+    is drawn once. The table is normalized by its largest entry: per-entry
+    normalization would erase the scale the truth table is about.
     """
-    source = SourceModel(a=setup.a, n_emitters=n_emitters)
-    _, kernels = _path_basis(source, basis_table(setup), [("C", [x_c]), ("T", [x_t])])
-    _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
-    scale = covariance.max()
-    if scale <= 0.0:
-        raise ValueError("truth table has no positive entry to normalize by")
-    return TruthTable(
-        values=covariance.reshape(4, 4) / scale, stderr=stderr.reshape(4, 4) / scale
+    values, stderr = _normalized_covariance(
+        setup, basis_table(setup), np.array([[x_c, x_t]], dtype=float),
+        n_realizations, seed, n_emitters,
     )
+    return TruthTable(values=values.reshape(4, 4), stderr=stderr.reshape(4, 4))
 
 
-def compare_patterns(analytic: CorrelationPattern, mc) -> dict[str, float]:
+def compare_patterns(analytic: CorrelationPattern, mc: CorrelationPattern) -> dict[str, float]:
     """Agreement metrics between a closed-form pattern and an ensemble estimate.
 
     Both patterns are brought to unit peak before comparison. Returns nrmse
     (rms difference in units of the peak), the Pearson correlation of the two
     curves, and the largest deviation in units of the ensemble stderr.
     """
-    mc_pattern = mc.pattern if isinstance(mc, EnsembleEstimate) else mc
-    if not np.array_equal(analytic.grid, mc_pattern.grid):
+    if not np.array_equal(analytic.grid, mc.grid):
         raise ValueError("patterns are on different grids")
     a = np.asarray(analytic.values, dtype=float)
-    b = np.asarray(mc_pattern.values, dtype=float)
+    b = np.asarray(mc.values, dtype=float)
     a_peak = a.max()
     b_peak = b.max()
     a = a / a_peak if a_peak > 0 else a
@@ -567,11 +546,11 @@ def compare_patterns(analytic: CorrelationPattern, mc) -> dict[str, float]:
         pearson = 1.0 if np.allclose(a, b) else 0.0
     else:
         pearson = float(np.corrcoef(a, b)[0, 1])
-    if mc_pattern.stderr is None:
+    if mc.stderr is None:
         max_sigma_dev = math.nan
     else:
         # stderr lives on the same scale as the values, so rescale alongside.
-        stderr = np.asarray(mc_pattern.stderr, dtype=float)
+        stderr = np.asarray(mc.stderr, dtype=float)
         if b_peak > 0:
             stderr = stderr / b_peak
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -585,7 +564,6 @@ def compare_patterns(analytic: CorrelationPattern, mc) -> dict[str, float]:
 
 
 __all__ = [
-    "EnsembleEstimate",
     "MIN_EMITTERS",
     "MIN_REALIZATIONS",
     "Realization",

@@ -12,7 +12,6 @@ from ghostfringe import montecarlo
 from ghostfringe.analytic import CorrelationPattern, path_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
-    EnsembleEstimate,
     Realization,
     SourceModel,
     compare_patterns,
@@ -23,7 +22,9 @@ from ghostfringe.montecarlo import (
     free_field,
     sample_realization,
 )
-from ghostfringe.gate import BASIS_LABELS, basis_settings, basis_table, ideal_cnot_table
+from ghostfringe.gate import (
+    BASIS_LABELS, TruthTable, basis_settings, basis_table, envelope_power, ideal_cnot_table,
+)
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
 
@@ -427,26 +428,38 @@ def test_estimator_input_validation():
         estimate_mean_intensity(basic_setup(), "C", [0.0], n_realizations=50, seed=0)
 
 
+def _raw_moments(table, grid, n_realizations, seed, n_emitters):
+    """The covariances the estimators normalize, and their stderr, from one ensemble pass."""
+    grid = np.asarray(grid, dtype=float)
+    source = SourceModel(a=table.setup.a, n_emitters=n_emitters)
+    _, kernels = montecarlo._path_basis(source, table, [("C", grid[:, 0]), ("T", grid[:, 1])])
+    _, covariance, stderr = montecarlo._ensemble_moments(source, seed, n_realizations, *kernels)
+    return covariance, stderr
+
+
 def test_estimate_is_deterministic():
     setup = basic_setup()
     grid = make_grid("x_C", 0.0, 2e-5, 1e-5)
     first = estimate_dn_corr(setup, grid, n_realizations=300, seed=5, n_emitters=64)
     second = estimate_dn_corr(setup, grid, n_realizations=300, seed=5, n_emitters=64)
-    assert np.array_equal(first.pattern.values, second.pattern.values)
-    assert np.array_equal(first.raw_stderr, second.raw_stderr)
-    assert np.array_equal(first.raw_values, second.raw_values)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.stderr, second.stderr)
+    first_raw = _raw_moments(path_table(setup), grid, 300, 5, 64)
+    second_raw = _raw_moments(path_table(setup), grid, 300, 5, 64)
+    assert np.array_equal(first_raw[1], second_raw[1])
+    assert np.array_equal(first_raw[0], second_raw[0])
 
 
 def test_estimate_has_positive_errors_and_peak_one():
-    estimate = estimate_dn_corr(
-        basic_setup(), make_grid("x_C", 0.0, 5e-5, 5e-6),
-        n_realizations=500, seed=1, n_emitters=64,
-    )
-    assert estimate.pattern.values.max() == pytest.approx(1.0)
-    assert estimate.pattern.mode == "monte-carlo"
-    assert np.all(estimate.pattern.stderr > 0.0)
-    assert estimate.scale > 0.0
-    assert estimate.n_realizations == 500
+    grid = make_grid("x_C", 0.0, 5e-5, 5e-6)
+    estimate = estimate_dn_corr(basic_setup(), grid, n_realizations=500, seed=1, n_emitters=64)
+    assert estimate.values.max() == pytest.approx(1.0)
+    assert estimate.mode == "monte-carlo"
+    assert np.all(estimate.stderr > 0.0)
+    covariance, _ = _raw_moments(path_table(basic_setup()), grid, 500, 1, 64)
+    scale = covariance.max()
+    assert scale > 0.0
+    np.testing.assert_allclose(estimate.values, np.clip(covariance / scale, 0.0, None), rtol=1e-12)
 
 
 def test_stderr_shrinks_like_root_n():
@@ -459,9 +472,9 @@ def test_stderr_shrinks_like_root_n():
     grid = make_grid("x_C", 0.0, 5e-5, 1e-5)
     ratios = []
     for seed in range(16):
-        small = estimate_dn_corr(setup, grid, n_realizations=2000, seed=seed, n_emitters=64)
-        large = estimate_dn_corr(setup, grid, n_realizations=8000, seed=seed, n_emitters=64)
-        ratios.append(np.mean(large.raw_stderr) / np.mean(small.raw_stderr))
+        _, small = _raw_moments(path_table(setup), grid, 2000, seed, 64)
+        _, large = _raw_moments(path_table(setup), grid, 8000, seed, 64)
+        ratios.append(np.mean(large) / np.mean(small))
     ratio = np.mean(ratios)
     assert 0.5 * 0.8 < ratio < 0.5 * 1.2, f"mean stderr ratio {ratio} not near 1/2"
 
@@ -569,13 +582,53 @@ def test_estimate_points_do_not_depend_on_grid_shape():
     setup = basic_setup()
     pair_grid = np.array([[0.0, 0.0], [1e-5, 0.0]])
     single_grid = np.array([[1e-5, 0.0]])
-    pair = estimate_dn_corr(setup, pair_grid, n_realizations=300, seed=2, n_emitters=64)
-    single = estimate_dn_corr(setup, single_grid, n_realizations=300, seed=2, n_emitters=64)
-    assert pair.raw_values[1] == pytest.approx(single.raw_values[0], rel=1e-9)
+    pair, _ = _raw_moments(path_table(setup), pair_grid, 300, 2, 64)
+    single, _ = _raw_moments(path_table(setup), single_grid, 300, 2, 64)
+    assert pair[1] == pytest.approx(single[0], rel=1e-9)
     scan_grid = np.column_stack([np.linspace(-4e-5, 4e-5, 81), np.zeros(81)])
     scan_grid[50] = single_grid[0]
-    scan = estimate_dn_corr(setup, scan_grid, n_realizations=300, seed=2, n_emitters=64)
-    assert scan.raw_values[50] == pytest.approx(single.raw_values[0], rel=1e-9)
+    scan, _ = _raw_moments(path_table(setup), scan_grid, 300, 2, 64)
+    assert scan[50] == pytest.approx(single[0], rel=1e-9)
+
+
+def test_estimators_return_the_closed_forms_types():
+    setup, grid = basic_setup(), make_grid("x_C", 0.0, 2e-5, 1e-5)
+    estimate = estimate_dn_corr(setup, grid, n_realizations=300, seed=4, n_emitters=64)
+    assert isinstance(estimate, CorrelationPattern)
+    assert estimate.mode == "monte-carlo"
+    metrics = compare_patterns(evaluate_pattern(setup, grid, "exact"), estimate)
+    assert set(metrics) == {"nrmse", "pearson", "max_sigma_dev"}
+    table = estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=300, seed=4, n_emitters=64)
+    assert isinstance(table, TruthTable)
+    assert table.stderr.shape == (4, 4)
+
+
+def test_truth_table_is_the_scan_estimator_at_one_point():
+    """Off axis behind tilted mirrors the envelope power is not 1; it is one factor for all 16 entries.
+
+    The table is each setting's raw covariance over the largest of them, to
+    within rounding, whatever that factor is.
+    """
+    setup, x_c, x_t, n = mz_setup(), 2e-4, -1e-4, 300
+    assert abs(float(envelope_power(setup, x_c, x_t)) - 1.0) > 0.05
+    table = estimate_truth_table(setup, x_c, x_t, n_realizations=n, seed=7, n_emitters=64)
+    covariance, stderr = _raw_moments(basis_table(setup), [[x_c, x_t]], n, 7, 64)
+    scale = covariance.max()
+    np.testing.assert_allclose(table.values, covariance.reshape(4, 4) / scale, rtol=1e-15)
+    np.testing.assert_allclose(table.stderr, stderr.reshape(4, 4) / scale, rtol=1e-15)
+
+
+def test_estimators_refuse_a_table_without_positive_peak(monkeypatch):
+    def negative(source, seed, n_realizations, kernel_c, kernel_t=None):
+        columns = kernel_c.shape[1]
+        return np.ones(columns), -np.ones(columns), np.ones(columns)
+
+    monkeypatch.setattr(montecarlo, "_ensemble_moments", negative)
+    grid = make_grid("x_C", 0.0, 2e-5, 1e-5)
+    with pytest.raises(ValueError, match="no positive peak"):
+        estimate_dn_corr(basic_setup(), grid, n_realizations=300, seed=0, n_emitters=64)
+    with pytest.raises(ValueError, match="no positive peak"):
+        estimate_truth_table(gate_setup(), 0.0, 0.0, n_realizations=300, seed=0, n_emitters=64)
 
 
 def _pair_feature_calls(estimate):
@@ -1011,15 +1064,3 @@ def test_compare_requires_matching_grids():
     )
     with pytest.raises(ValueError, match="grids"):
         compare_patterns(a, b)
-
-
-def test_compare_accepts_estimate_wrapper():
-    estimate = estimate_dn_corr(
-        basic_setup(), make_grid("x_C", 0.0, 2e-5, 1e-5),
-        n_realizations=300, seed=4, n_emitters=64,
-    )
-    exact = evaluate_pattern(basic_setup(), estimate.pattern.grid, "exact")
-    direct = compare_patterns(exact, estimate)
-    unwrapped = compare_patterns(exact, estimate.pattern)
-    assert direct == unwrapped
-    assert isinstance(estimate, EnsembleEstimate)
