@@ -71,11 +71,12 @@ def b_phase(xj, xd, setup: SetupBasic):
 class PathTable:
     """A setup as two arms (0 = C, 1 = T) of two optical paths each.
 
-    coefficients[..., arm, path] is the polarization weight of a path; leading
-    axes, if any, stack angle settings. The default unit weights describe the
-    unpolarized mask. offsets[arm, path] places a path: the pinhole position
-    on a mask, or behind the tilted mirrors the detector shift, 2*zbar*delta
-    for the tilted first path and 0 for the straight second one.
+    coefficients[..., arm, path] is the polarization weight of a path, zero
+    for a closed one; leading axes, if any, stack angle settings. The default
+    unit weights describe the unpolarized mask. offsets[arm, path] places a
+    path: the pinhole position on a mask, or behind the tilted mirrors the
+    detector shift, 2*zbar*delta for the tilted first path and 0 for the
+    straight second one.
     relative_phase, the phase of an arm's second path relative to its first,
     is the only phase either closed-form mode reads. mask_quad_scale scales
     the mask-plane curvature in it: the physical value is 1.0, and 2.0 gives
@@ -139,7 +140,6 @@ def path_table(
     setup: SetupBasic | SetupGate | SetupMZ,
     angles: GateAngles | None = None,
     mask_quad_scale: float = 1.0,
-    open_paths=None,
 ) -> PathTable:
     """The path table of a setup at one preparation-analyzer setting.
 
@@ -147,8 +147,7 @@ def path_table(
     refuses them. The gate's weights are the plate-analyzer amplitudes of its
     fixed masks; the tilted-mirror variant negates the second path of each
     arm, because its polarizing splitter routes V through that path with a
-    sign flip. open_paths, a nonempty subset of (1, 2), zeroes the weights of
-    the other paths in both arms.
+    sign flip.
     """
     if isinstance(setup, (SetupGate, SetupMZ)):
         if angles is None:
@@ -165,11 +164,6 @@ def path_table(
         raise ValueError("SetupBasic is unpolarized: angles must be None")
     else:
         coefficients = np.ones((2, 2))
-    if open_paths is not None:
-        open_paths = tuple(open_paths)
-        if not open_paths or any(p not in (1, 2) for p in open_paths):
-            raise ValueError(f"open_paths must be a nonempty subset of (1, 2), got {open_paths}")
-        coefficients = coefficients * [p in open_paths for p in (1, 2)]
     return PathTable(setup, coefficients, mask_quad_scale)
 
 

@@ -124,13 +124,11 @@ exit codes:
 
 @dataclass
 class RunReport:
-    """Everything one run produced: patterns per mode, margins, metrics, timings."""
+    """Everything one run produced: patterns per mode, violations, metrics, timings."""
 
     config: ExperimentConfig
-    grid: np.ndarray
     patterns: dict[str, CorrelationPattern]
     comparisons: dict[str, dict[str, float]]
-    margins: dict[str, float]
     problems: list[Violation]
     timings: dict[str, float]
 
@@ -290,10 +288,10 @@ def run(config: ExperimentConfig) -> RunReport:
             patterns["exact"], patterns["asymptotic"]
         )
 
-    margins, problems = conditions_report(config, grid)
+    _, problems = conditions_report(config, grid)
     return RunReport(
-        config=config, grid=grid, patterns=patterns,
-        comparisons=comparisons, margins=margins, problems=problems, timings=timings,
+        config=config, patterns=patterns, comparisons=comparisons, problems=problems,
+        timings=timings,
     )
 
 
@@ -648,7 +646,7 @@ def emit(report: RunReport, out_dir) -> list[Path]:
     preamble = _preamble(report.config)
     written: list[Path] = []
     for mode, pattern in report.patterns.items():
-        columns = [report.grid, pattern.values]
+        columns = [pattern.grid, pattern.values]
         header = "x_C,x_T,value"
         if pattern.stderr is not None:
             columns.append(pattern.stderr)

@@ -180,32 +180,21 @@ def _path_basis(source: SourceModel, table: PathTable, detectors):
     Gaussian emitter amplitudes is again i.i.d. circular Gaussian with the
     same mean photon number: the ensemble draws a @ Q directly, one
     amplitude per column of Q. A mask has at most four legs, one per
-    pinhole, whatever the angles, open paths or positions. Behind tilted
-    mirrors the legs follow the detector positions; with more legs than
-    emitters Q is square and unitary, which changes nothing in the
-    distribution.
+    pinhole, whatever the weights or positions. Behind tilted mirrors the
+    legs follow the detector positions; with more legs than emitters Q is
+    square and unitary, which changes nothing in the distribution.
     """
     legs, entries = _kernel_factors(source, table, detectors)
     basis, triangle = np.linalg.qr(legs)
     return basis, [(triangle[:, leg] * value).sum(-1) for leg, value in entries]
 
 
-def field_at_detector(
-    realization: Realization,
-    setup: SetupBasic | SetupGate | SetupMZ,
-    arm: str,
-    x_d: float,
-    angles: GateAngles | None = None,
-    open_paths=None,
-) -> complex:
-    """Scalar analyzer-projected field at detector position x_d.
+def field_at_detector(realization: Realization, table: PathTable, arm: str, x_d: float) -> complex:
+    """Scalar analyzer-projected field of a path table's arm at detector position x_d.
 
-    For polarized setups (SetupGate, SetupMZ) the GateAngles carry both the
-    preparation plate and the analyzer for each arm and are required; for
-    SetupBasic they must be omitted. open_paths restricts which of the two
-    paths of the arm are open, e.g. (1,) to close the second pinhole.
+    The table (path_table) carries the setup and its weights at one setting;
+    a path whose weights are zero is closed.
     """
-    table = path_table(setup, angles, open_paths=open_paths)
     legs, ((leg, value),) = _kernel_factors(realization.source, table, [(arm, [x_d])])
     return complex(realization.amplitudes @ legs[:, leg[0]] @ value[0])
 
@@ -431,7 +420,7 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
     return mean_c, mean_ct - mean_c * mean_t, stderr
 
 
-def _normalized_covariance(setup, table: PathTable, grid, n_realizations, seed, n_emitters):
+def _normalized_covariance(table: PathTable, grid, n_realizations, seed, n_emitters):
     """Each column's intensity covariance over the envelope power at its point, peak-normalized.
 
     The columns are the table's settings at each point of the (N, 2) grid of
@@ -442,10 +431,10 @@ def _normalized_covariance(setup, table: PathTable, grid, n_realizations, seed, 
     envelope power, so only tilted-mirror results are reshaped by it.
     Returns (values, stderr).
     """
-    source = SourceModel(a=setup.a, n_emitters=n_emitters)
+    source = SourceModel(a=table.setup.a, n_emitters=n_emitters)
     _, kernels = _path_basis(source, table, [("C", grid[:, 0]), ("T", grid[:, 1])])
     _, covariance, stderr = _ensemble_moments(source, seed, n_realizations, *kernels)
-    weight = envelope_power(setup, grid[:, 0], grid[:, 1])
+    weight = envelope_power(table.setup, grid[:, 0], grid[:, 1])
     weighted = covariance / weight
     scale = weighted.max()
     if scale <= 0.0:
@@ -471,7 +460,7 @@ def estimate_dn_corr(
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ValueError(f"grid must have shape (N, 2), got {grid.shape}")
     values, stderr = _normalized_covariance(
-        setup, path_table(setup, angles), grid, n_realizations, seed, n_emitters
+        path_table(setup, angles), grid, n_realizations, seed, n_emitters
     )
     return CorrelationPattern(
         grid=grid, values=np.clip(values, 0.0, None), mode="monte-carlo", stderr=stderr
@@ -519,8 +508,7 @@ def estimate_truth_table(
     normalization would erase the scale the truth table is about.
     """
     values, stderr = _normalized_covariance(
-        setup, basis_table(setup), np.array([[x_c, x_t]], dtype=float),
-        n_realizations, seed, n_emitters,
+        basis_table(setup), np.array([[x_c, x_t]], dtype=float), n_realizations, seed, n_emitters
     )
     return TruthTable(values=values.reshape(4, 4), stderr=stderr.reshape(4, 4))
 

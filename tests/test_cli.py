@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,9 @@ from ghostfringe import cli
 from ghostfringe.analytic import CorrelationPattern
 from ghostfringe.cli import ConfigError, RunReport, _write_table, emit, main, parse_config
 from ghostfringe.gate import BASIS_LABELS, TruthTable, ideal_cnot_table
-from ghostfringe.geometry import SetupBasic, SetupGate, SetupMZ
+from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import MIN_EMITTERS, MIN_REALIZATIONS
-from ghostfringe.patterns import evaluate_pattern, make_grid
+from ghostfringe.patterns import SCAN_AXES, evaluate_pattern, make_grid
 
 BASIC_SETUP = """\
 [setup]
@@ -368,10 +368,9 @@ def assert_cells_round_trip(path, expected, first_column=0):
     assert np.array_equal(cells.view(np.uint64), expected.view(np.uint64))
 
 
-def make_report(config, grid, patterns, comparisons=None):
+def make_report(config, patterns, comparisons=None):
     return RunReport(
-        config=config, grid=grid, patterns=patterns,
-        comparisons=comparisons or {}, margins={}, problems=[], timings={},
+        config=config, patterns=patterns, comparisons=comparisons or {}, problems=[], timings={},
     )
 
 
@@ -389,7 +388,7 @@ def test_emit_matches_per_cell_formatting(tmp_path):
         "exact_vs_asymptotic": {"nrmse": 5e-324, "pearson": -math.inf, "max_sigma_dev": 1e308},
     }
     out = tmp_path / "out"
-    written = emit(make_report(config, grid, patterns, comparisons), out)
+    written = emit(make_report(config, patterns, comparisons), out)
     assert written == [out / "scan_exact.csv", out / "scan_mc.csv", out / "scan_compare.csv"]
     head = preamble_lines(config)
 
@@ -437,7 +436,7 @@ def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
         "mc": CorrelationPattern(grid, magnitude, "monte-carlo", stderr=magnitude.copy()),
     }
     out = tmp_path / "out"
-    emit(make_report(config, grid, patterns), out)
+    emit(make_report(config, patterns), out)
     head = preamble_lines(config)
     for mode, table, header in (
         ("exact", np.column_stack([grid, values]), "x_C,x_T,value"),
@@ -531,7 +530,7 @@ def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
         "mc": CorrelationPattern(grid, values, "monte-carlo", stderr=stderr),
     }
     out = tmp_path / "out"
-    emit(make_report(config, grid, patterns), out)
+    emit(make_report(config, patterns), out)
     head = preamble_lines(config)
     for mode, table, header in (
         ("exact", np.column_stack([grid, values]), "x_C,x_T,value"),
@@ -590,7 +589,7 @@ def test_emit_on_empty_grid_writes_preamble_and_header(tmp_path):
     config = parse_config(write_config(tmp_path, BASIC_SETUP))
     grid = np.empty((0, 2))
     pattern = CorrelationPattern(grid, np.empty(0), "monte-carlo", stderr=np.empty(0))
-    emit(make_report(config, grid, {"mc": pattern}), tmp_path)
+    emit(make_report(config, {"mc": pattern}), tmp_path)
     head = preamble_lines(config) + ["# pattern_mode=monte-carlo", "x_C,x_T,value,stderr"]
     assert (tmp_path / "scan_mc.csv").read_text() == "\n".join(head) + "\n"
 
@@ -623,6 +622,15 @@ def test_python_m_ghostfringe_runs_the_cli():
     assert result.stdout.startswith("usage: ghostfringe")
     assert f"n_realizations (default 10000, at least {MIN_REALIZATIONS})" in result.stdout
     assert f"n_emitters (default 256, at least {MIN_EMITTERS})" in result.stdout
+    # The file schema in the help is kept by hand: it must name every key the
+    # parser accepts and every choice it offers.
+    schema = result.stdout.split("configuration file sections and defaults:")[1]
+    words = set(re.findall(r"\w+", schema))
+    for kind in (SetupBasic, SetupMZ, GateAngles):
+        for f in fields(kind):
+            assert cli._FILE_KEYS.get(f.name, f.name) in words, f.name
+    for key, choices in (("kind", cli._SETUP_CLASSES), ("axis", SCAN_AXES), ("mode", cli.MODES)):
+        assert f"{key}={'|'.join(choices)} " in schema
 
 
 def test_seed_override_changes_ensemble(tmp_path):

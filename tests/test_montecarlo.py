@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
-from ghostfringe.analytic import CorrelationPattern, path_table
+from ghostfringe.analytic import CorrelationPattern, PathTable, path_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
     Realization,
@@ -304,40 +304,61 @@ def test_closing_a_pinhole_removes_its_position_dependence():
         a=setup.a, wavelength=setup.wavelength, z=setup.z, f=setup.f,
         x1=setup.x1, x2=setup.x2 + 1e-3, x1p=setup.x1p, x2p=setup.x2p,
     )
-    only_first = field_at_detector(realization, setup, "C", 1e-5, open_paths=(1,))
-    only_first_moved = field_at_detector(realization, moved, "C", 1e-5, open_paths=(1,))
-    assert only_first == only_first_moved
-    both = field_at_detector(realization, setup, "C", 1e-5)
-    both_moved = field_at_detector(realization, moved, "C", 1e-5)
-    assert both != both_moved
+    only_first = np.ones((2, 2)) * [1, 0]
+    assert field_at_detector(realization, PathTable(setup, only_first), "C", 1e-5) == (
+        field_at_detector(realization, PathTable(moved, only_first), "C", 1e-5)
+    )
+    both = field_at_detector(realization, path_table(setup), "C", 1e-5)
+    assert both != field_at_detector(realization, path_table(moved), "C", 1e-5)
 
 
 def test_field_is_sum_of_single_path_fields():
     source = SourceModel(a=0.5e-3, n_emitters=32)
     realization = sample_realization(source, seed=9, index=1)
     setup = basic_setup()
-    total = field_at_detector(realization, setup, "T", -2e-5)
-    first = field_at_detector(realization, setup, "T", -2e-5, open_paths=(1,))
-    second = field_at_detector(realization, setup, "T", -2e-5, open_paths=(2,))
+    total = field_at_detector(realization, path_table(setup), "T", -2e-5)
+    first, second = (
+        field_at_detector(realization, PathTable(setup, np.ones((2, 2)) * mask), "T", -2e-5)
+        for mask in ([1, 0], [0, 1])
+    )
     assert total == pytest.approx(first + second, rel=1e-12)
 
 
-def test_open_paths_validation():
-    source = SourceModel(a=0.5e-3, n_emitters=8)
-    realization = sample_realization(source, seed=0, index=0)
-    with pytest.raises(ValueError, match="open_paths"):
-        field_at_detector(realization, basic_setup(), "C", 0.0, open_paths=(3,))
-    with pytest.raises(ValueError, match="open_paths"):
-        field_at_detector(realization, basic_setup(), "C", 0.0, open_paths=())
+def test_single_path_field_is_its_propagators():
+    """A one-path table's field is the amplitudes times that path's paraxial propagators.
+
+    The propagators exp(i*k*(from - to)^2 / (2*distance)) are written out
+    here: a mask path goes emitter e -> pinhole p over z, then p -> detector
+    x_d over f; behind tilted mirrors a path goes e -> x_d + 2*zbar*delta
+    over z, delta = 0 on the straight path.
+    """
+    source = SourceModel(a=0.5e-3, n_emitters=32)
+    realization = sample_realization(source, seed=3, index=2)
+    a, e, x_d = realization.amplitudes, source.positions, 1.5e-5
+    mask = SetupBasic(
+        a=0.5e-3, wavelength=500e-9, z=1.0, f=0.5,
+        x1=-5e-3, x2=5.5e-3, x1p=-4.8e-3, x2p=5.3e-3,
+    )
+    mz = SetupMZ(a=0.5e-3, wavelength=500e-9, z=1.0, zbar=0.2, delta_c=0.0125, delta_t=-0.01)
+    k = 2.0 * math.pi / 500e-9
+    for arm, pinholes, delta in (("C", (mask.x1, mask.x2), mz.delta_c),
+                                 ("T", (mask.x1p, mask.x2p), mz.delta_t)):
+        for path, (p, shift) in enumerate(zip(pinholes, (2.0 * mz.zbar * delta, 0.0))):
+            one_path = np.eye(2)[[path, path]]
+            field = field_at_detector(realization, PathTable(mask, one_path), arm, x_d)
+            want = a @ (np.exp(1j * k * (e - p) ** 2 / (2.0 * mask.z))
+                        * np.exp(1j * k * (p - x_d) ** 2 / (2.0 * mask.f)))
+            assert field == pytest.approx(want, rel=1e-12)
+            field = field_at_detector(realization, PathTable(mz, one_path), arm, x_d)
+            want = a @ np.exp(1j * k * (e - x_d - shift) ** 2 / (2.0 * mz.z))
+            assert field == pytest.approx(want, rel=1e-12)
 
 
 def test_angles_required_for_polarized_setups_only():
-    source = SourceModel(a=0.5e-3, n_emitters=8)
-    realization = sample_realization(source, seed=0, index=0)
     with pytest.raises(ValueError, match="required"):
-        field_at_detector(realization, gate_setup(), "C", 0.0)
+        path_table(gate_setup())
     with pytest.raises(ValueError, match="unpolarized"):
-        field_at_detector(realization, basic_setup(), "C", 0.0, angles=QUARTER_ANGLES)
+        path_table(basic_setup(), QUARTER_ANGLES)
 
 
 def test_analyzer_projection_combines_hv_components():
@@ -347,12 +368,12 @@ def test_analyzer_projection_combines_hv_components():
     angles = GateAngles(0.3, 0.8, 0.55, 1.1)
     e_h, e_v = (
         field_at_detector(
-            realization, setup, "C", 1e-5,
-            angles=GateAngles(angles.phi_c, angles.phi_t, theta, theta),
+            realization, path_table(setup, GateAngles(angles.phi_c, angles.phi_t, theta, theta)),
+            "C", 1e-5,
         )
         for theta in (0.0, math.pi / 2.0)
     )
-    projected = field_at_detector(realization, setup, "C", 1e-5, angles=angles)
+    projected = field_at_detector(realization, path_table(setup, angles), "C", 1e-5)
     want = math.cos(angles.theta_c) * e_h + math.sin(angles.theta_c) * e_v
     assert projected == pytest.approx(want, rel=1e-10)
 
@@ -375,13 +396,14 @@ def test_intensity_covariance_factorizes_into_field_correlation():
     """Chaotic statistics: cov(I_C, I_T) = |<E_C* E_T>|^2."""
     setup = basic_setup()
     source = SourceModel(a=0.5e-3, n_emitters=64)
+    table = path_table(setup)
     n = 3000
     e_c = np.empty(n, dtype=complex)
     e_t = np.empty(n, dtype=complex)
     for k in range(n):
         realization = sample_realization(source, seed=13, index=k)
-        e_c[k] = field_at_detector(realization, setup, "C", 0.0)
-        e_t[k] = field_at_detector(realization, setup, "T", 1.2e-5)
+        e_c[k] = field_at_detector(realization, table, "C", 0.0)
+        e_t[k] = field_at_detector(realization, table, "T", 1.2e-5)
     i_c = np.abs(e_c) ** 2
     i_t = np.abs(e_t) ** 2
     cov = np.mean(i_c * i_t) - i_c.mean() * i_t.mean()
@@ -516,7 +538,7 @@ def test_mean_intensity_matches_per_realization_loop():
     source = SourceModel(a=setup.a, n_emitters=64)
     table = path_table(setup, QUARTER_ANGLES)
     intensities = np.array([
-        [abs(field_at_detector(r, setup, "T", x, angles=QUARTER_ANGLES)) ** 2 for x in xs]
+        [abs(field_at_detector(r, table, "T", x)) ** 2 for x in xs]
         for r in _ensemble_realizations(source, table, [("T", xs)], 6, n)
     ])
     np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
@@ -718,9 +740,10 @@ def test_truth_table_matches_per_setting_loop(setup):
     )
     raw, batch_err = [], []
     for angles in basis_settings():
+        setting = path_table(setup, angles)
         i_c, i_t = (
             np.array([
-                abs(field_at_detector(r, setup, arm, 0.0, angles=angles)) ** 2
+                abs(field_at_detector(r, setting, arm, 0.0)) ** 2
                 for r in realizations
             ]).reshape(n_batches, -1)
             for arm in ("C", "T")
@@ -767,9 +790,11 @@ def mask_cases(draw):
         x1=x1, x2=x2, x1p=x1p, x2p=x2p,
     )
     angles = GateAngles(*draw(st.tuples(angle, angle, angle, angle))) if kind is SetupGate else None
-    open_paths = draw(st.sampled_from([None, (1,), (2,), (1, 2)]))
+    # both paths open, or one closed by zeroing its weights in both arms
+    mask = draw(st.sampled_from([[1, 1], [1, 0], [0, 1]]))
+    table = PathTable(setup, path_table(setup, angles).coefficients * mask)
     xs = draw(st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=1, max_size=6))
-    return setup, angles, open_paths, np.array(xs)
+    return setup, angles, table, np.array(xs)
 
 
 def _drawn_widths(estimate):
@@ -826,11 +851,11 @@ def _check_path_basis(source, table, xs, n_legs):
 @given(mask_cases())
 @settings(max_examples=60, deadline=None)
 def test_path_basis_spans_every_mask_kernel(case):
-    setup, angles, open_paths, xs = case
+    setup, angles, table, xs = case
     source = SourceModel(a=setup.a, n_emitters=64)
     pinholes = {setup.x1, setup.x2, setup.x1p, setup.x2p}
     assert len(pinholes) <= 4
-    _check_path_basis(source, path_table(setup, angles, open_paths=open_paths), xs, len(pinholes))
+    _check_path_basis(source, table, xs, len(pinholes))
     # a single-arm pass draws one amplitude per pinhole of that arm
     widths = _drawn_widths(lambda: estimate_mean_intensity(
         setup, "C", xs, n_realizations=100, seed=0, angles=angles, n_emitters=64
@@ -886,8 +911,8 @@ def pair_cases(draw):
     """Path table and detectors of a mask scan, or of a gate or MZ truth table."""
     kind = draw(st.sampled_from(["mask scan", "gate table", "mz table"]))
     if kind == "mask scan":
-        setup, angles, open_paths, xs = draw(mask_cases())
-        return setup, path_table(setup, angles, open_paths=open_paths), [("C", xs), ("T", xs[::-1])]
+        setup, _, table, xs = draw(mask_cases())
+        return setup, table, [("C", xs), ("T", xs[::-1])]
     if kind == "gate table":
         setup = draw(mask_cases().filter(lambda case: isinstance(case[0], SetupGate)))[0]
     else:
