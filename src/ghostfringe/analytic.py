@@ -131,9 +131,9 @@ class PathTable:
 
     def amplitudes(self, arm: int, x_d) -> np.ndarray:
         """Weight times phasor of each path of an arm relative to its first path, shape (..., 2)."""
-        second = np.exp(1j * self.relative_phase(arm, x_d))
-        phasors = np.stack([np.ones_like(second), second], axis=-1)
-        return self.coefficients[..., arm, :] * phasors
+        weights = self.coefficients[..., arm, :]
+        second = weights[..., 1] * np.exp(1j * self.relative_phase(arm, x_d))
+        return np.stack(np.broadcast_arrays(weights[..., 0], second), axis=-1)
 
 
 def path_table(
@@ -181,10 +181,12 @@ def pair_sum(envelopes: np.ndarray, amp_c: np.ndarray, amp_t: np.ndarray):
     configuration where all four envelopes reach 1 in phase. Where every
     envelope vanishes there is no correlation at all, and the value is 0.
     """
-    total = (amp_c.conj()[..., :, None] * amp_t[..., None, :] * envelopes).sum(axis=(-2, -1))
+    (c0, c1), (t0, t1) = np.moveaxis(amp_c.conj(), -1, 0), np.moveaxis(amp_t, -1, 0)
+    (e00, e01), (e10, e11) = np.moveaxis(envelopes, (-2, -1), (0, 1))
+    total = c0 * (t0 * e00 + t1 * e01) + c1 * (t0 * e10 + t1 * e11)
     power = _envelope_power(envelopes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(power > 0.0, np.abs(total) ** 2 / power, 0.0)
+        return np.where(power > 0.0, (total.real**2 + total.imag**2) / power, 0.0)
 
 
 def envelope_power(setup: SetupBasic | SetupMZ, x_c, x_t):

@@ -801,7 +801,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Command -> (handler, whether it takes --out and --mode, one-line help).
+_COMMANDS = {
+    "scan": (cmd_scan, True, "run the configured scan and write CSV patterns"),
+    "truth-table": (cmd_truth_table, True, "write the 4x4 basis joint-probability table"),
+    "verify": (cmd_verify, False, "compare the exact pattern against the ensemble"),
+    "conditions": (cmd_conditions, False, "print condition margins for the configuration"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command and its options; for any other name, the top-level parser."""
+
+    def add_options(p: argparse.ArgumentParser, func, writes: bool) -> argparse.ArgumentParser:
+        p.add_argument("--config", required=True, help="experiment file (INI)")
+        if writes:
+            p.add_argument("--out", default="out", help="output directory (default: out)")
+            p.add_argument("--mode", choices=MODES, help="override the configured mode")
+        p.add_argument("--seed", type=int, help="override the configured ensemble seed")
+        p.add_argument("--strict-conditions", action="store_true",
+                       help="exit with code 2 when condition margins are violated")
+        p.set_defaults(func=func)
+        return p
+
+    if command in _COMMANDS:
+        return add_options(_Parser(prog=f"ghostfringe {command}"), *_COMMANDS[command][:2])
     parser = _Parser(
         prog="ghostfringe",
         description="Correlation scans and gate truth tables for chaotic-light interferometers.",
@@ -809,40 +833,15 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_mode: bool, with_out: bool) -> None:
-        p.add_argument("--config", required=True, help="experiment file (INI)")
-        if with_out:
-            p.add_argument("--out", default="out", help="output directory (default: out)")
-        if with_mode:
-            p.add_argument("--mode", choices=MODES, help="override the configured mode")
-        p.add_argument("--seed", type=int, help="override the configured ensemble seed")
-        p.add_argument(
-            "--strict-conditions", action="store_true",
-            help="exit with code 2 when condition margins are violated",
-        )
-
-    p_scan = sub.add_parser("scan", help="run the configured scan and write CSV patterns")
-    add_common(p_scan, with_mode=True, with_out=True)
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_table = sub.add_parser("truth-table", help="write the 4x4 basis joint-probability table")
-    add_common(p_table, with_mode=True, with_out=True)
-    p_table.set_defaults(func=cmd_truth_table)
-
-    p_verify = sub.add_parser("verify", help="compare the exact pattern against the ensemble")
-    add_common(p_verify, with_mode=False, with_out=False)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_cond = sub.add_parser("conditions", help="print condition margins for the configuration")
-    add_common(p_cond, with_mode=False, with_out=False)
-    p_cond.set_defaults(func=cmd_conditions)
-
+    for name, (func, writes, summary) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=summary), func, writes)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:

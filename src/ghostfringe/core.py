@@ -20,12 +20,11 @@ def sinc(x):
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
-    x_safe = np.where(small, 1.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(x_safe) / x_safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.sin(x, out=np.empty_like(x))
+    out /= np.where(small, 1.0, x)
+    x2 = x[small] * x[small]
+    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    return float(out) if out.ndim == 0 else out
 
 
 def tophat_ft(a: float, dx: float, l_coh: float):

@@ -523,6 +523,30 @@ def test_evaluate_pattern_matches_per_point_oracle(setup, angles):
         assert np.ptp(values) > 0.01, axis  # the oracle is checked on a varying pattern
 
 
+def test_pair_sum_broadcasts_settings_over_points():
+    """16 basis settings over a 7-point grid: each value is its own four-term pair sum."""
+    table = gate.basis_table(ORACLE_MZ)
+    x_c = np.linspace(-1e-4, 1e-4, 7)
+    x_t = x_c + 3e-5
+    values = closed_form(table, x_c[:, None], x_t[:, None], "exact")
+    assert values.shape == (7, 16)
+    for s, w in enumerate(table.coefficients):
+        for k in range(7):
+            env = table.envelopes(x_c[k], x_t[k])
+            c0, c1 = w[0, 0], w[0, 1] * cmath.exp(1j * table.relative_phase(0, x_c[k]))
+            t0, t1 = w[1, 0], w[1, 1] * cmath.exp(1j * table.relative_phase(1, x_t[k]))
+            total = (c0.conjugate() * (t0 * env[0, 0] + t1 * env[0, 1])
+                     + c1.conjugate() * (t0 * env[1, 0] + t1 * env[1, 1]))
+            power = (abs(env[0, 0]) + abs(env[0, 1]) + abs(env[1, 0]) + abs(env[1, 1])) ** 2 / 4
+            want = abs(total) ** 2 / power
+            assert values[k, s] == pytest.approx(want, rel=1e-12, abs=1e-12), (s, k)
+    assert np.ptp(values) > 0.1  # settings and points differ
+    # The truth-table call: scalar positions, one value per setting.
+    point = closed_form(table, x_c[3], x_t[3], "exact")
+    assert point.shape == (16,)
+    assert point == pytest.approx(values[3], rel=1e-12, abs=1e-12)
+
+
 def test_evaluate_pattern_on_empty_grid():
     for setup, angles in ((SetupBasic(**ORACLE_MASK), None), (ORACLE_MZ, ORACLE_ANGLES)):
         for mode in ("exact", "asymptotic"):

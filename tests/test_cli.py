@@ -694,10 +694,45 @@ def test_config_error_prints_and_exits_one(tmp_path, capsys):
     assert "z must be positive" in capsys.readouterr().err
 
 
-def test_usage_error_exits_one():
+def test_usage_error_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path, BASIC_SETUP)
+    for argv in (
+        ["scan"],  # missing --config
+        [],  # no command
+        ["bogus"],
+        ["verify", "--config", config, "--out", "x"],  # verify writes nothing
+        ["conditions", "--config", config, "--mode", "exact"],  # nor takes a mode
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
+COMMAND_HELP = {
+    "scan": "run the configured scan and write CSV patterns",
+    "truth-table": "write the 4x4 basis joint-probability table",
+    "verify": "compare the exact pattern against the ensemble",
+    "conditions": "print condition margins for the configuration",
+}
+
+
+def test_help_lists_every_command_and_each_command_has_its_own(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["scan"])  # missing --config
-    assert excinfo.value.code == 1
+        main(["--help"])
+    assert excinfo.value.code == 0
+    top = capsys.readouterr().out
+    for command, summary in COMMAND_HELP.items():
+        assert re.search(rf"^\s+{command}\s+{summary}$", top, re.MULTILINE), command
+    for command in COMMAND_HELP:
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith(f"usage: ghostfringe {command} [-h] --config CONFIG")
+        writes = command in ("scan", "truth-table")
+        assert ("--out OUT" in usage) == writes and ("--mode {exact," in usage) == writes
+        assert "--seed SEED" in usage and "--strict-conditions" in usage
 
 
 # ---------------------------------------------------------------------------

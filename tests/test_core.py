@@ -41,6 +41,31 @@ def test_sinc_vectorized():
     assert got == pytest.approx([1.0, 2.0 / math.pi, 0.0], abs=1e-15)
 
 
+def _two_branch_sinc(x):
+    """Both branches evaluated over the whole array and picked with np.where."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    x_safe = np.where(small, 1.0, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the series of large x, never picked
+        x2 = x * x
+        return np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(x_safe) / x_safe)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 1e-5, -1e-4, 0.5, -3.0, 1e200,
+    np.array(0.0), np.array(-1e-5), np.array(7.5),
+    np.array([0.0, -0.0, 1e-5, -1e-5, 1e-4, -1e-4, 9.99e-5, 1.01e-4, 3.0, -1e3, 1e300]),
+    np.linspace(-2e-4, 2e-4, 41).reshape(41, 1) * np.array([1.0, 1e4]),
+])
+def test_sinc_matches_two_branch_formula_bit_for_bit(x):
+    got, want = sinc(x), _two_branch_sinc(x)
+    if np.ndim(x) == 0:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+    assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
 def test_tophat_peak():
     assert tophat_ft(1e-3, 0.0, 5e-4) == 2e-3
 
