@@ -97,19 +97,20 @@ class PathTable:
         return np.array([[s.x1, s.x2], [s.x1p, s.x2p]])
 
     def positions(self, arm: int, x_d) -> np.ndarray:
-        """Envelope position of each path of an arm, shape (..., 2).
+        """Envelope position of each path of an arm, shape (2, ...).
 
         Pinholes stay put; behind the tilted mirrors the positions are the
         detector positions x_d shifted by the offsets, so they move along a
         scan.
         """
         if isinstance(self.setup, SetupMZ):
-            return np.asarray(x_d, dtype=float)[..., None] + self.offsets[arm]
+            return np.add.outer(self.offsets[arm], x_d)
         return self.offsets[arm]
 
     def envelopes(self, x_c, x_t) -> np.ndarray:
-        """Slit envelope of each path pair, indexed [..., i, j] by path i of C and j of T."""
-        separation = self.positions(0, x_c)[..., :, None] - self.positions(1, x_t)[..., None, :]
+        """Slit envelope of each path pair, indexed [i, j, ...] by path i of C and j of T."""
+        x_c, x_t = np.broadcast_arrays(np.asarray(x_c, dtype=float), np.asarray(x_t, dtype=float))
+        separation = self.positions(0, x_c)[:, None] - self.positions(1, x_t)[None, :]
         return sinc(np.pi * separation / self.setup.l_coh)
 
     def relative_phase(self, arm: int, x_d):
@@ -168,13 +169,14 @@ def path_table(
 
 
 def _envelope_power(envelopes: np.ndarray):
-    return (np.abs(envelopes).sum(axis=(-2, -1)) / 2.0) ** 2
+    (e00, e01), (e10, e11) = np.abs(envelopes)
+    return ((e00 + e01 + e10 + e11) / 2.0) ** 2
 
 
 def pair_sum(envelopes: np.ndarray, amp_c: np.ndarray, amp_t: np.ndarray):
     """The pair-sum kernel |sum_ij conj(amp_c_i) amp_t_j env_ij|^2 / (sum_ij |env_ij| / 2)^2.
 
-    Sums run over the path axes (the last two of envelopes, the last of the
+    Sums run over the path axes (the first two of envelopes, the last of the
     amplitudes) and broadcast over the rest. The normalization makes the
     two-path regime peak at 4 for unit weights (both matched envelopes near
     1, cross envelopes near 0) and keeps the value at 4 for a fully coherent
@@ -182,7 +184,7 @@ def pair_sum(envelopes: np.ndarray, amp_c: np.ndarray, amp_t: np.ndarray):
     envelope vanishes there is no correlation at all, and the value is 0.
     """
     (c0, c1), (t0, t1) = np.moveaxis(amp_c.conj(), -1, 0), np.moveaxis(amp_t, -1, 0)
-    (e00, e01), (e10, e11) = np.moveaxis(envelopes, (-2, -1), (0, 1))
+    (e00, e01), (e10, e11) = envelopes
     total = c0 * (t0 * e00 + t1 * e01) + c1 * (t0 * e10 + t1 * e11)
     power = _envelope_power(envelopes)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import difflib
 import math
 import sys
 import time
@@ -152,6 +151,7 @@ def _read_section(cp: configparser.ConfigParser, name: str, known) -> dict[str, 
     raw = dict(cp.items(name)) if cp.has_section(name) else {}
     for key in raw:
         if key not in known:
+            import difflib  # only a mistyped key or section loads it
             hint = difflib.get_close_matches(key, sorted(known), n=1)
             suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
             raise ConfigError(f"unknown key {key!r} in [{name}]{suggestion}")
@@ -183,6 +183,7 @@ def parse_config(path) -> ExperimentConfig:
 
     for section in cp.sections():
         if section not in _SECTIONS:
+            import difflib
             hint = difflib.get_close_matches(section, _SECTIONS, n=1)
             suggestion = f" (did you mean [{hint[0]}]?)" if hint else ""
             raise ConfigError(f"unknown section [{section}]{suggestion}")
@@ -300,293 +301,16 @@ def _preamble(config: ExperimentConfig) -> list[str]:
             for key, value in config.preamble_items()]
 
 
-# Rows per block: enough that the per-call costs of `%` and numpy vanish, few
-# enough that one block's cells and scratch arrays (about 1.8 MB for an x, x,
-# value scan) stay small however long the table is. Of 1024 to 8192, 2048 was
-# the fastest on an 8001-row scan.
-_ROWS_PER_BLOCK = 2048
+# Most rows per block, in blocks of equal size: enough that the per-call costs
+# of `%` and numpy vanish, few enough that a block's scratch arrays (about
+# 1 kB a row for an x, x, value scan) stay small however long the table. An
+# 8001-row scan wrote fastest in three blocks, not four of 2001 or two of 4001.
+_ROWS_PER_BLOCK = 3000
 # Blocks of fewer cells take `%` per cell (_format_rows): the numpy kernel's
 # fixed cost, some hundred numpy calls, outweighs what it saves below this.
 # Measured on 3 and 4 columns, both took about 0.25 ms at 384 cells; at 768
 # the kernel took 0.35 ms and `%` 0.5 to 0.65 ms.
 _KERNEL_MIN_CELLS = 400
-
-# The `%.17g` kernel (_format_block). A finite double v with
-# 1e-6 <= |v| < 1e17 has a decimal exponent E in _E_MIN.._E_MAX, and
-# format(v, ".17g") writes the 17 digits of D = round-half-even(|v| *
-# 10**(16 - E)) less their trailing zeros: in fixed notation from E = -4 up,
-# as d.ddde-05 or d.ddde-06 below. Each cell's layout (point, exponent,
-# length) is a table row picked by E and its count of significant digits.
-# Every other cell (0, nan, inf, subnormals, |v| < 1e-6 or >= 1e17) is
-# formatted on its own with `%.17g`.
-_E_MIN, _E_MAX = -6, 16
-_DECADES = np.arange(_E_MIN, _E_MAX + 1)
-# 10**(16 - E), exact doubles up to 10**22, and their halves split at 27 bits.
-_POW = np.array([float(10**k) for k in range(16 - _E_MIN, 15 - _E_MAX, -1)])
-_SPLIT = 2.0**27 + 1.0
-_POW_HI = _POW * _SPLIT
-_POW_HI -= _POW_HI - _POW
-_POW_LO = _POW - _POW_HI
-# D * 10**s written as 24 digits has 7 - s leading zeros: fixed notation
-# below 1 needs -E of them ("0." and -E - 1 zeros), every other layout none.
-_ZERO_SHIFT = 10 ** (7 - np.where((_DECADES < 0) & (_DECADES >= -4), -_DECADES, 0)).astype(np.int64)
-
-_QUADS = np.arange(10000, dtype=np.uint16)
-# The four ASCII digits of every 4-digit group as one uint32; _DASHES indexes "----".
-_DASHES = 10000
-_QUAD_CHARS = np.full((_DASHES + 1, 4), ord("-"), dtype=np.uint8)
-_QUAD_CHARS[:_DASHES] = _QUADS[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
-_QUAD_CHARS = _QUAD_CHARS.view(np.uint32).ravel()
-_TRAILING_ZEROS = ((_QUADS % 10 == 0).astype(np.int64) + (_QUADS % 100 == 0)
-                   + (_QUADS % 1000 == 0) + (_QUADS == 0))
-
-# Each cell fills a 32-byte slot: its sign in byte 0, its body from byte 1,
-# its separator right after the body. _NOWHERE is a body index no cell keeps.
-_SLOT = 32
-_NOWHERE = _SLOT - 2
-
-
-def _layouts():
-    """Body length, point index and shift mask per layout code (E - _E_MIN) * 18 + digits.
-
-    A body is the 24 digits of D * 10**s, each moved one byte right from the
-    point on: the mask is 255 on the slot bytes before the point.
-    """
-    e = _DECADES[:, None]
-    n = np.arange(18)[None, :]
-    fixed, small = e >= 0, (e < 0) & (e >= -4)
-    length = np.where(fixed, np.maximum(n, e + 1) + (n > e + 1),
-                      np.where(small, 1 - e + n, n + (n > 1) + 4))
-    point = np.where(fixed, np.where(n > e + 1, e + 1, _NOWHERE),
-                     np.where(small | (n > 1), 1, _NOWHERE))
-    unmoved = (np.arange(_SLOT) < 1 + point[:, :, None]) * np.uint8(255)
-    return (length.ravel().astype(np.intp), point.ravel().astype(np.intp),
-            unmoved.reshape(-1, _SLOT))
-
-
-_BODY_LENGTH, _POINT, _UNMOVED = _layouts()
-# The slot bytes a cell keeps, by 2 * (body length + 1) + sign: its body and
-# separator from byte 1, and byte 0 when it holds the sign.
-_KEEP = ((np.arange(_SLOT) <= np.arange(_SLOT + 1)[:, None, None])
-         & ((np.arange(_SLOT) > 0) | (np.arange(2) > 0)[:, None])).reshape(-1, _SLOT)
-
-
-class _Cells:
-    """Scratch arrays for _format_block on row blocks of up to `rows` rows of one table.
-
-    first[j] is the first column whose bits equal column j's: each distinct
-    column is formatted once, and its slots are copied to every position.
-    """
-
-    def __init__(self, rows: int, first: list[int]):
-        self.unique = sorted(set(first))
-        self.positions = [self.unique.index(j) for j in first]
-        self.repeats = self.positions != list(range(len(first)))
-        k, cells = rows * len(self.unique), rows * len(first)
-        parts = {
-            "floats": ((7, k), np.float64), "ints": ((6, k), np.int64),
-            "index": ((4, k), np.intp), "flags": ((4, k), bool), "quads": ((6, k), np.intp),
-            "quad_chars": ((8, k), np.uint32), "chars": ((k, 8), np.uint32),
-            "mask": ((k, _SLOT), np.uint8), "slots": ((k, _SLOT), np.uint8),
-            "keep": ((cells, _SLOT), bool),
-        }
-        if self.repeats:
-            parts.update(all_slots=((cells, _SLOT), np.uint8), lengths=((cells,), np.intp),
-                         signs=((cells,), bool))
-        # One allocation carved into every scratch array: freed whole, it
-        # stays in the heap for the next table instead of going back to the
-        # OS, so writing it again does not fault its pages in anew.
-        sizes = [-(-np.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-                 for shape, dtype in parts.values()]
-        memory = np.empty(sum(sizes), dtype=np.uint8)
-        for (name, (shape, dtype)), end, size in zip(parts.items(), np.cumsum(sizes), sizes):
-            setattr(self, name, memory[end - size:end].view(dtype)[:np.prod(shape)].reshape(shape))
-        if not self.repeats:
-            self.all_slots = self.slots
-        self.quad_chars[[0, 7]] = _QUAD_CHARS[_DASHES]
-        separators = np.full(len(first), ord(","), dtype=np.uint8)
-        separators[-1] = ord("\n")
-        self.separators = np.tile(separators, rows)
-        self.starts = np.arange(1, cells * _SLOT, _SLOT)
-
-
-def _exact_digits(a, i, floats, ints, flags):
-    """D = round-half-even(a * 10**(16 - E)) for E = _DECADES[i], and whether D has 17 digits.
-
-    a * 10**(16 - E) is the double hi plus its rounding error err, exactly:
-    Dekker's two-product (Dekker 1971). hi >= 2**53 is an even integer, so D
-    is hi + rint(err), ties and decade boundaries included. floats, ints and
-    flags are 5, 2 and 2 scratch rows of a's length.
-    """
-    p, hi, a_hi, a_lo, err = floats
-    d, rounded = ints
-    ok, edge = flags
-    _POW.take(i, out=p)
-    np.multiply(a, p, out=hi)
-    np.multiply(a, _SPLIT, out=a_hi)
-    np.subtract(a_hi, a, out=a_lo)
-    a_hi -= a_lo
-    np.subtract(a, a_hi, out=a_lo)
-    _POW_HI.take(i, out=p)
-    np.multiply(a_hi, p, out=err)
-    err -= hi
-    p *= a_lo
-    err += p
-    _POW_LO.take(i, out=p)
-    a_hi *= p
-    err += a_hi
-    p *= a_lo
-    err += p
-    d[...] = hi
-    np.rint(err, out=p)
-    rounded[...] = p
-    d += rounded
-    # 17 digits: D < 10**17, and 10**16 <= hi + err, which at D = 10**16 needs err >= 0.
-    np.greater(d, 10**16, out=ok)
-    np.equal(d, 10**16, out=edge)
-    edge &= err >= 0
-    ok |= edge
-    np.less(d, 10**17, out=edge)
-    ok &= edge
-    return d, ok
-
-
-def _significant_digits(d, ints):
-    """Digits of the 17-digit integers d before their trailing zeros; ints: 3 scratch rows."""
-    quotient, rest, n = ints
-    np.floor_divide(d, 10**4, out=quotient)
-    np.multiply(quotient, 10**4, out=rest)
-    np.subtract(d, rest, out=rest)
-    _TRAILING_ZEROS.take(rest, out=n, mode="clip")
-    np.subtract(17, n, out=n)
-    # Where the last four digits are zeros, the four before them may be too.
-    at = np.flatnonzero(rest == 0)
-    higher = quotient[at]
-    while at.size:
-        quotient = higher // 10**4
-        rest = higher - quotient * 10**4
-        n[at] -= _TRAILING_ZEROS[rest]
-        more = rest == 0
-        at, higher = at[more], quotient[more]
-    return n
-
-
-def _format_block(block: np.ndarray, w: _Cells) -> np.ndarray:
-    """The CSV bytes of the rows of block, each cell as format(v, ".17g"), as uint8."""
-    n = len(block)
-    k, cells = n * len(w.unique), n * len(w.positions)
-    v, a, scratch = w.floats[0, :k], w.floats[1, :k], w.floats[2:, :k]
-    for at, j in enumerate(w.unique):
-        v.reshape(n, -1)[:, at] = block[:, j]
-    inside, outside = w.flags[:2, :k]
-    np.absolute(v, out=a)
-    np.greater_equal(a, 1e-6, out=inside)
-    np.less(a, 1e17, out=outside)
-    inside &= outside
-    np.logical_not(inside, out=outside)
-    raw = np.flatnonzero(outside)
-    a[raw] = 1.0
-    i = w.index[0, :k]
-    np.log10(a, out=scratch[0])
-    np.floor(scratch[0], out=scratch[0])
-    i[...] = scratch[0]
-    i -= _E_MIN
-    np.maximum(i, 0, out=i)
-    np.minimum(i, len(_DECADES) - 1, out=i)
-    d, ok = _exact_digits(a, i, scratch, w.ints[:2, :k], w.flags[2:, :k])
-    if not ok.all():
-        # log10 missed the decade, or D rounded up to 10**17: one decade down
-        # or up mends either, unless it leaves _E_MIN.._E_MAX.
-        bad = np.flatnonzero(~ok)
-        decade = i[bad] + np.where(d[bad] >= 10**17, 1, -1)
-        i[bad] = np.clip(decade, 0, len(_DECADES) - 1)
-        m = bad.size
-        d[bad], ok[bad] = _exact_digits(a[bad], i[bad], np.empty((5, m)),
-                                        np.empty((2, m), dtype=np.int64),
-                                        np.empty((2, m), dtype=bool))
-        ok[bad] &= (decade >= 0) & (decade < len(_DECADES))
-        inside &= ok
-        np.logical_not(inside, out=outside)
-        raw = np.flatnonzero(outside)
-        d[raw] = 10**16
-    code = w.index[1, :k]
-    np.multiply(i, 18, out=code)
-    code += _significant_digits(d, w.ints[2:5, :k])
-
-    # The 24 digits of D * 10**s in six 4-digit groups, from three 8-digit parts.
-    high, low, shift, top = w.ints[2:, :k]
-    np.floor_divide(d, 10**8, out=high)
-    np.multiply(high, 10**8, out=low)
-    np.subtract(d, low, out=low)
-    _ZERO_SHIFT.take(i, out=shift)
-    low *= shift
-    high *= shift
-    np.floor_divide(low, 10**8, out=top)
-    high += top
-    top *= 10**8
-    low -= top
-    np.floor_divide(high, 10**8, out=top)
-    np.multiply(top, 10**8, out=shift)
-    high -= shift
-    quads, quad_chars = w.quads[:, :k], w.quad_chars[:, :k]
-    for row, part in zip((0, 2, 4), (top, high, low)):
-        np.floor_divide(part, 10**4, out=quads[row])
-        np.multiply(quads[row], 10**4, out=quads[row + 1])
-        np.subtract(part, quads[row + 1], out=quads[row + 1])
-        for r in (row, row + 1):
-            _QUAD_CHARS.take(quads[r], out=quad_chars[r + 1], mode="clip")
-    np.copyto(w.chars[:k], quad_chars.T)
-
-    # Slot byte x takes chars byte x + 3 before the point and x + 2 from it
-    # on: byte 3 is a dash, the sign, and the digits start at byte 4.
-    chars = w.chars[:k].view(np.uint8).reshape(-1)
-    slots = w.slots[:k].reshape(-1)
-    unmoved, moved, text = chars[3:], chars[2:-1], slots[:-3]
-    np.bitwise_xor(unmoved, moved, out=text)
-    mask = w.mask[:k]
-    np.take(_UNMOVED.view(np.uint64), code, axis=0, out=mask.view(np.uint64), mode="clip")
-    text &= mask.reshape(-1)[:-3]
-    text ^= moved
-    starts, at = w.starts[:k], w.index[2, :k]
-    _POINT.take(code, out=at, mode="clip")
-    at += starts
-    slots[at] = ord(".")
-    length = _BODY_LENGTH.take(code, out=w.index[3, :k], mode="clip")
-    exponent = np.flatnonzero(i < -4 - _E_MIN)
-    if exponent.size:
-        at = starts[exponent] + length[exponent] - 4
-        slots[at] = ord("e")
-        slots[at + 1] = ord("-")
-        slots[at + 2] = ord("0")
-        slots[at + 3] = ord("0") - _E_MIN - i[exponent]
-    sign = np.signbit(v, out=w.flags[3, :k])
-    if raw.size:
-        # A raw cell's text fills its slot from byte 0, sign included.
-        chars = np.frombuffer(("%.17g\n" * raw.size % tuple(v[raw].tolist())).encode(), np.uint8)
-        cut = np.flatnonzero(chars == ord("\n"))
-        raw_length = np.diff(cut, prepend=-1) - 1
-        before = cut - raw_length - np.arange(raw.size)  # text bytes of earlier raw cells
-        slots[np.repeat(raw * _SLOT - before, raw_length) + np.arange(len(chars) - raw.size)] = \
-            chars[chars != ord("\n")]
-        sign[raw] = True
-        length[raw] = raw_length - 1
-
-    if w.repeats:
-        shape = (n, -1, _SLOT // 8)
-        np.take(w.slots[:k].view(np.uint64).reshape(shape), w.positions, axis=1,
-                out=w.all_slots[:cells].view(np.uint64).reshape(shape), mode="clip")
-        length = np.take(length.reshape(n, -1), w.positions, axis=1,
-                         out=w.lengths[:cells].reshape(n, -1)).reshape(-1)
-        sign = np.take(sign.reshape(n, -1), w.positions, axis=1,
-                       out=w.signs[:cells].reshape(n, -1)).reshape(-1)
-    slots = w.all_slots[:cells].reshape(-1)
-    slots[w.starts[:cells] + length] = w.separators[:cells]
-    length += 1
-    length *= 2
-    length += sign
-    keep = w.keep[:cells]
-    np.take(_KEEP.view(np.uint64), length, axis=0, out=keep.view(np.uint64), mode="clip")
-    return slots[keep.reshape(-1)]
 
 
 def _format_rows(block: np.ndarray, labels=None) -> str:
@@ -603,11 +327,12 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     """Write the head lines, then one row per row of the 2-D float table.
 
     Every cell reads as format(v, ".17g"), 17 significant digits, which
-    round-trips any double exactly. Blocks of _KERNEL_MIN_CELLS cells or more
-    go through the numpy kernel _format_block, which writes those bytes itself
-    for 1e-6 <= |v| < 1e17 and formats every other cell on its own; smaller
-    blocks, and tables with labels, take one `%` call per block
-    (_format_rows). labels, when given, lead each row as a string.
+    round-trips any double exactly. A table whose blocks have
+    _KERNEL_MIN_CELLS cells or more goes through the numpy kernel in _g17,
+    imported then, which writes those bytes itself for 1e-6 <= |v| < 1e17
+    and formats every other cell on its own; other tables, and tables with
+    labels, take one `%` call per block (_format_rows). labels, when given,
+    lead each row as a string.
 
     On the kernel path, a column whose float64 bits equal an earlier column's
     (x_T on a diagonal scan) is formatted once per block and copied to every
@@ -616,23 +341,27 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     output byte.
     """
     table = np.asarray(table, dtype=float)
-    bits = table.view(np.uint64)
-    first = [next(i for i in range(j + 1) if np.array_equal(bits[:, i], bits[:, j]))
-             for j in range(table.shape[1])]
-    cells = None
+    blocks = max(1, -(-len(table) // _ROWS_PER_BLOCK))
+    rows = max(1, -(-len(table) // blocks))
+    kernel = labels is None and rows * table.shape[1] >= _KERNEL_MIN_CELLS
+    if kernel:
+        from . import _g17
+        bits = table.view(np.uint64)
+        first = [next((i for i in range(j) if np.array_equal(bits[:, i], bits[:, j])), j)
+                 for j in range(table.shape[1])]
+        cells = _g17.Cells(rows, first)
     # A new file, not the old one truncated: rewriting an inode in place costs
     # more than unlinking it, and a hard link to the old output keeps its bytes.
     path.unlink(missing_ok=True)
-    with path.open("w") as fh:
-        fh.write("\n".join(head) + "\n")
-        for start in range(0, len(table), _ROWS_PER_BLOCK):
-            block = table[start:start + _ROWS_PER_BLOCK]
-            if labels is None and block.size >= _KERNEL_MIN_CELLS:
-                cells = cells or _Cells(len(block), first)
-                fh.write(str(_format_block(block, cells), "ascii"))
+    with path.open("wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode())
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
+            if kernel:
+                fh.write(_g17.format_block(block, cells))
             else:
                 lead = None if labels is None else labels[start:start + len(block)]
-                fh.write(_format_rows(block, lead))
+                fh.write(_format_rows(block, lead).encode())
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:

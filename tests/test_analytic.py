@@ -327,7 +327,7 @@ def test_fully_coherent_point_reaches_four():
 def test_pair_sum_with_no_coherence_is_zero():
     unit = np.ones(2, dtype=complex)
     assert pair_sum(np.zeros((2, 2)), unit, unit) == 0.0
-    assert np.array_equal(pair_sum(np.zeros((3, 2, 2)), unit, unit), np.zeros(3))
+    assert np.array_equal(pair_sum(np.zeros((2, 2, 3)), unit, unit), np.zeros(3))
 
 
 @given(
@@ -521,6 +521,20 @@ def test_evaluate_pattern_matches_per_point_oracle(setup, angles):
             want = [oracle_point(setup, x_c, x_t, mode) for x_c, x_t in grid]
             assert np.max(np.abs(values - want)) <= 1e-12, (axis, mode)
         assert np.ptp(values) > 0.01, axis  # the oracle is checked on a varying pattern
+
+
+def test_envelope_power_sums_the_path_pairs_in_one_order():
+    """The ensemble is normalized by it, so its bits must not depend on the envelopes' layout."""
+    x_c = np.linspace(-2e-4, 2e-4, 801)
+    x_t = x_c[::-1] + 3e-5
+    envelopes = PathTable(ORACLE_MZ).envelopes(x_c, x_t)
+    assert envelopes.shape == (2, 2, 801)
+    (e00, e01), (e10, e11) = np.abs(envelopes)
+    want = (((e00 + e01) + e10) + e11) / 2.0
+    got = analytic.envelope_power(ORACLE_MZ, x_c, x_t)
+    assert np.array_equal(got.view(np.uint64), (want**2).view(np.uint64))
+    scalar = analytic.envelope_power(ORACLE_MZ, x_c[7], x_t[7])
+    assert scalar.shape == () and scalar == got[7]
 
 
 def test_pair_sum_broadcasts_settings_over_points():

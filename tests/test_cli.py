@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ghostfringe
-from ghostfringe import cli
+from ghostfringe import _g17, cli
 from ghostfringe.analytic import CorrelationPattern
 from ghostfringe.cli import ConfigError, RunReport, _write_table, emit, main, parse_config
 from ghostfringe.gate import BASIS_LABELS, TruthTable, ideal_cnot_table
@@ -450,26 +450,33 @@ def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
 def kernel_text(values, columns=1):
     """The numpy kernel's CSV text for values laid out in rows of `columns` cells."""
     block = np.asarray(values, dtype=float).reshape(-1, columns)
-    cells = cli._Cells(len(block), list(range(columns)))
-    return cli._format_block(block, cells).tobytes().decode("ascii")
+    cells = _g17.Cells(len(block), list(range(columns)))
+    return _g17.format_block(block, cells).tobytes().decode("ascii")
 
 
 def per_cell_text(values, columns=1):
     return per_cell_csv([], np.asarray(values, dtype=float).reshape(-1, columns).tolist())
 
 
+# Cells of few significant digits, which random bit patterns almost never give:
+# 4, 8, 12 and 16 trailing zeros of the 17 digits, and every layout's shortest body.
+SHORT_CELLS = [4.0, 1.0, 0.5, 1e16, 123456789.0, 1234567890123.0, 12345.0, 1.5, 2.0, 1e-5,
+               3e-6, 0.25, 0.001, 1e8, 1e12, 1234567890123456.0, 100.0, 7e15]
+SHORT_BITS = [int(b) for b in np.array(SHORT_CELLS + [-v for v in SHORT_CELLS]).view(np.uint64)]
 # Raw float64 bit patterns: every exponent, and the exponents of 2**-24 .. 2**60
-# often, since only they reach the kernel's decades 1e-6 .. 1e17.
+# often, since only they reach the kernel's decades 1e-6 .. 1e17; and short cells.
 KERNEL_EXPONENTS = st.integers(1023 - 24, 1023 + 60)
 DOUBLE_BITS = st.one_of(
     st.integers(0, 2**64 - 1),
     st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
               st.integers(0, 1), KERNEL_EXPONENTS, st.integers(0, 2**52 - 1)),
+    st.sampled_from(SHORT_BITS),
 )
 
 
 @given(st.lists(DOUBLE_BITS, min_size=1, max_size=60), st.integers(1, 4))
 @example([0, 1 << 63, 1, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000], 3)
+@example(SHORT_BITS, 4)
 def test_kernel_matches_format_on_any_double(bits, columns):
     values = np.array(bits + [0] * (-len(bits) % columns), dtype=np.uint64).view(float)
     assert kernel_text(values, columns) == per_cell_text(values, columns)
@@ -505,6 +512,24 @@ def test_kernel_writes_exponents_points_and_stripped_zeros():
         "0.000125\n0.5\n-0.10000000000000001\n10\n1234.5\n10000000000000000\n"
         "12345678901234568\n"
     )
+
+
+@pytest.mark.parametrize("value", [4.0, 1.0, -0.5, 0.0, 1e-5, 12345678901234568.0])
+def test_kernel_matches_format_on_a_constant_column(value):
+    table = np.column_stack([np.linspace(-2e-4, 2e-4, 999), np.full(999, value)])
+    assert kernel_text(table, columns=2) == per_cell_text(table, columns=2)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_csv_matches_format_one_row_either_side_of_a_block_edge(tmp_path, extra):
+    n = 2 * cli._ROWS_PER_BLOCK + extra
+    rng = np.random.default_rng(n)
+    x = np.linspace(-2e-4, 2e-4, n)
+    values = rng.choice(SHORT_CELLS, n) * rng.choice([1.0, 3.0000000000000004], n)
+    table = np.column_stack([x, x, values])
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["x_C,x_T,value"], table)
+    assert path.read_text() == per_cell_csv(["x_C,x_T,value"], table.tolist())
 
 
 def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
@@ -545,8 +570,8 @@ def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
 def test_write_csv_paths_agree_at_the_kernel_threshold(tmp_path, monkeypatch, cells):
     """The same cells, one below and one above the size that selects the kernel."""
     calls = []
-    kernel = cli._format_block
-    monkeypatch.setattr(cli, "_format_block", lambda *args: calls.append(1) or kernel(*args))
+    kernel = _g17.format_block
+    monkeypatch.setattr(_g17, "format_block", lambda *args: calls.append(1) or kernel(*args))
     rng = np.random.default_rng(cells)
     values = rng.standard_normal(cells) * 10.0 ** rng.integers(-8, 18, cells)
     values[::7] *= -1.0
@@ -568,8 +593,9 @@ def test_write_csv_memory_stays_flat_in_rows(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(4096)
-    assert peak(65536) <= 1.25 * peak(4096)
+    short, long = 2 * cli._ROWS_PER_BLOCK, 16 * cli._ROWS_PER_BLOCK
+    peak(short)
+    assert peak(long) <= 1.25 * peak(short)
 
 
 def test_write_csv_replaces_the_file_instead_of_rewriting_it(tmp_path):
@@ -608,6 +634,25 @@ def test_truth_table_csv_matches_per_cell_formatting(tmp_path):
         rows = [[label, *row] for label, row in zip(BASIS_LABELS, data.tolist())]
         assert path.read_text() == per_cell_csv(head, rows)
         assert_cells_round_trip(path, data, first_column=1)
+
+
+def test_short_tables_load_neither_the_kernel_nor_difflib(tmp_path):
+    """An 81-point scan and a truth table are too short for the `%.17g` kernel."""
+    scan = write_config(tmp_path, BASIC_SETUP)
+    table = write_config(tmp_path, GATE_SETUP, "gate.ini")
+    code = (
+        "import sys; from ghostfringe.cli import main; "
+        f"main(['scan', '--config', {scan!r}, '--out', {str(tmp_path)!r}]); "
+        f"main(['truth-table', '--config', {table!r}, '--out', {str(tmp_path)!r}]); "
+        "print(sorted({'ghostfringe._g17', 'difflib'} & set(sys.modules)))"
+    )
+    src = str(Path(ghostfringe.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_m_ghostfringe_runs_the_cli():
