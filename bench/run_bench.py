@@ -15,11 +15,12 @@ BENCHMARK.json both sides run
 in their own checkout, for the run_seconds that BENCHMARK.json sets, and
 the side that runs first alternates from seed to seed. Per workload and
 end-to-end metric of BENCHMARK.json the output holds both medians, the
-parent's quartiles, the number of pairs in which the change is better, and
-the raw runs; then the failed and attempted op counts, whether every run
-passed the output gate, and per side the provenance of each run: its start
-time, the side that ran first in its pair and the 1-minute load average read
-just before it, so that a gap between pairs can be traced to the machine.
+parent's quartiles, the number of pairs in which the change is better and
+in which it ties, the median over pairs of change / parent, and the raw
+runs; then the failed and attempted op counts, whether every run passed the
+output gate, and per side the provenance of each run: its start time, the
+side that ran first in its pair and the 1-minute load average read just
+before it, so that a gap between pairs can be traced to the machine.
 Nothing under perfbench/ and nothing in BENCHMARK.json is written.
 """
 
@@ -102,13 +103,16 @@ def run_pair(checkouts: dict[str, Path], workload: str, seed: int) -> dict[str, 
 
 
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    """Per-metric medians, parent quartiles, better pairs and verdicts, then failures.
+    """Per-metric medians, parent quartiles, paired ratios and verdicts, then failures.
 
     For each end-to-end metric of BENCHMARK.json (name, better, bound), gain is
     true when the change is better in at least 9/10 of the pairs, ties counting
     for neither, and its median is better than the parent's by more than the
     parent's q3 - q1; within_bound is true when the change median is not worse
-    than the parent median by more than bound x the parent median.
+    than the parent median by more than bound x the parent median. Beside
+    them, median_pair_ratio is the median over pairs of change / parent, which
+    a drift of the host's speed between pairs moves less than the medians, and
+    tied_pairs counts the pairs with equal values.
     """
     out = {}
     for metric in metrics:
@@ -125,6 +129,8 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             "parent_q1": q1,
             "parent_q3": q3,
             "change_better_pairs": wins,
+            "tied_pairs": sum(c == p for p, c in zip(parent, change)),
+            "median_pair_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "pairs": len(parent),
             "gain": 10 * wins >= 9 * len(parent) and improvement > q3 - q1,
             "within_bound": -improvement <= metric["bound"] * parent_median,

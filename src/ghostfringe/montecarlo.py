@@ -122,7 +122,8 @@ def sample_realization(source: SourceModel, seed: int, index: int) -> Realizatio
     """
     if index < 0:
         raise ValueError(f"realization index must be nonnegative, got {index}")
-    amplitudes = _amplitude_block(source, seed, index, 1)[0]
+    width = source.n_emitters
+    amplitudes = _draw_amplitudes(_philox_stream(seed, width, index), 1, width)[0]
     return Realization(amplitudes=amplitudes, seed=seed, index=index, source=source)
 
 
@@ -259,19 +260,6 @@ def _draw_amplitudes(generator: np.random.Generator, count: int, width: int) -> 
     return amplitudes
 
 
-def _amplitude_block(
-    source: SourceModel, seed: int, start: int, count: int, width: int | None = None
-) -> np.ndarray:
-    """Amplitudes of realizations start .. start + count - 1, width per row.
-
-    Rows of the keyed stream _philox_stream(seed, width, start). width
-    defaults to one amplitude per emitter; an ensemble pass draws in the
-    width of its path basis, from one stream for the whole pass.
-    """
-    width = source.n_emitters if width is None else width
-    return _draw_amplitudes(_philox_stream(seed, width, start), count, width)
-
-
 def _unit_phase(u):
     """exp(2*pi*i * u) for uniforms u in [0, 1), from a table and two short polynomials.
 
@@ -340,20 +328,17 @@ def _pair_coefficients(kernel, pairs):
     return np.vstack([squares, cross.real, -cross.imag])
 
 
-def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
+def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     """One pass over the ensemble, shared by every estimator.
 
     kernel_c and kernel_t are (width, M) propagation matrices in the path
     basis of the setup (_path_basis): column m gives the C and T arm fields
     of the m-th detector pair or angle setting, and a realization draws one
-    amplitude per row, once whatever M is. kernel_t None means the T arm is
-    the C arm, column for column: each field or pair coefficient is then
-    formed once and serves both. The realizations are walked from 0 in chunks
-    of CHUNK_VALUES // (width + 2 * M) rows (width + M without kernel_t),
-    drawn in order from one keyed stream, so memory does not grow with
-    n_realizations and one Philox generator serves the pass. Each chunk is
-    split at the edges of the N_BATCHES batches into per-batch sums of I_C,
-    I_T and I_C * I_T.
+    amplitude per row, once whatever M is. The realizations are walked from 0
+    in chunks of CHUNK_VALUES // (width + 2 * M) rows, drawn in order from one
+    keyed stream, so memory does not grow with n_realizations and one Philox
+    generator serves the pass. Each chunk is split at the edges of the
+    N_BATCHES batches into per-batch sums of I_C, I_T and I_C * I_T.
 
     Every intensity is a sum over pairs of path amplitudes,
     |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
@@ -369,10 +354,8 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
     its batch-means stderr over N_BATCHES batches.
     """
     check_ensemble_size(n_realizations, source.n_emitters)
-    kernel = kernel_c if kernel_t is None else np.hstack([kernel_c, kernel_t])
+    kernel = np.hstack([kernel_c, kernel_t])
     width, columns = kernel.shape
-    # The C columns lead and the T columns trail kernel; without kernel_t
-    # both slices take every column.
     half = kernel_c.shape[1]
     rows = max(1, CHUNK_VALUES // (width + columns))
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
@@ -401,13 +384,13 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t=None):
             if pairs is not None:
                 grams[batch] += part.T @ part
             else:
-                i_c, i_t = part[:, :half], part[:, -half:]
+                i_c, i_t = part[:, :half], part[:, half:]
                 sums[batch, 0] += i_c.sum(axis=0)
                 sums[batch, 1] += i_t.sum(axis=0)
                 sums[batch, 2] += np.einsum("ij,ij->j", i_c, i_t)
     if pairs is not None:
         coefficients = _pair_coefficients(kernel, pairs)
-        w_c, w_t = coefficients[:, :half], coefficients[:, -half:]
+        w_c, w_t = coefficients[:, :half], coefficients[:, half:]
         totals, gram = grams[:, -1, :-1], grams[:, :-1, :-1]
         sums = np.stack(
             [totals @ w_c, totals @ w_t, np.einsum("fm,bfm->bm", w_c, gram @ w_t)], axis=1
@@ -480,13 +463,12 @@ def estimate_mean_intensity(
 
     All positions share one ensemble pass (_ensemble_moments), with the arm's
     kernel as both C and T, so its covariance is the per-realization intensity
-    variance; the stderr is sqrt(variance / n_realizations). Each field, or
-    on a mask each pair coefficient, is formed once for both sides.
+    variance; the stderr is sqrt(variance / n_realizations).
     """
     xs = np.atleast_1d(np.asarray(detector_positions, dtype=float))
     source = SourceModel(a=setup.a, n_emitters=n_emitters)
     _, (kernel,) = _path_basis(source, path_table(setup, angles), [(arm, xs)])
-    mean, var, _ = _ensemble_moments(source, seed, n_realizations, kernel)
+    mean, var, _ = _ensemble_moments(source, seed, n_realizations, kernel, kernel)
     stderr = np.sqrt(np.clip(var, 0.0, None) / n_realizations)
     return mean, stderr
 

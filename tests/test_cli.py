@@ -864,12 +864,14 @@ def test_verify_fails_on_disagreement(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_rarely_fails_a_consistent_model(tmp_path, capsys):
-    """Seed sweep: the noise-corrected Pearson gate passes the exact model.
+    """Seed sweep: the noise-corrected Pearson gate rarely FAILs the exact model.
 
     At 300 realizations the raw Pearson of this 11-point scan falls below 0.99
-    on about a quarter to a third of seeds; corrected for the ensemble noise
-    it does not. What FAILs remain come from the 4-sigma criterion, about 1%
-    of seeds.
+    on 21 of seeds 0-99; corrected for the ensemble noise it does on two.
+    Three seeds FAIL, so the bound has no slack, and each for its own reason:
+    seed 20 on the 4-sigma criterion alone (max |z| 4.40), seed 54 on both
+    (|z| 5.64, corrected Pearson 0.9748) and seed 65 on the corrected Pearson
+    alone (0.9896).
     """
     config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
     failed = [

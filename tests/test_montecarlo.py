@@ -127,21 +127,24 @@ def _philox_rows(seed, width, indices):
     return np.array(rows)
 
 
-def _pieces(source, seed, start, width, edges):
-    """Blocks of rows start + lo .. start + hi - 1 for consecutive edges, stacked."""
-    return np.concatenate([
-        montecarlo._amplitude_block(source, seed, start + lo, hi - lo, width)
-        for lo, hi in zip(edges, edges[1:])
-    ])
+def _pieces(seed, start, width, edges):
+    """Rows start + lo .. start + hi - 1 of the keyed stream for consecutive edges, stacked.
+
+    Each block is drawn from a stream of its own, positioned at its first row.
+    """
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        stream = montecarlo._philox_stream(seed, width, start + lo)
+        blocks.append(montecarlo._draw_amplitudes(stream, hi - lo, width))
+    return np.concatenate(blocks)
 
 
 def test_amplitude_block_matches_fresh_generator_per_realization():
     source = SourceModel(a=1e-3, n_emitters=48)
     seed, start, n = 19, 1000, 12
     expected = _philox_rows(seed, 48, range(start, start + n))
-    assert np.array_equal(montecarlo._amplitude_block(source, seed, start, n), expected)
-    for cuts in ([5], [1, 2, 11], list(range(1, n))):
-        assert np.array_equal(_pieces(source, seed, start, None, [0, *cuts, n]), expected), cuts
+    for cuts in ([], [5], [1, 2, 11], list(range(1, n))):
+        assert np.array_equal(_pieces(seed, start, 48, [0, *cuts, n]), expected), cuts
     for row in (0, 7, n - 1):
         realization = sample_realization(source, seed, start + row)
         assert np.array_equal(realization.amplitudes, expected[row])
@@ -150,37 +153,34 @@ def test_amplitude_block_matches_fresh_generator_per_realization():
 @pytest.mark.parametrize("width", [1, 3, 4, 64])
 def test_amplitude_block_is_partition_invariant(width):
     """Any split into blocks gives the same rows; odd widths leave half a Philox block unused."""
-    source = SourceModel(a=1e-3, n_emitters=64)
     seed, start, n = 2**40 + 3, 517, 23
     expected = _philox_rows(seed, width, range(start, start + n))
-    whole = montecarlo._amplitude_block(source, seed, start, n, width)
+    whole = _pieces(seed, start, width, [0, n])
     assert whole.shape == (n, width)
     assert np.array_equal(whole, expected)
     rng = np.random.default_rng(width)
     for _ in range(5):
         cuts = sorted(rng.choice(np.arange(1, n), size=rng.integers(1, 8), replace=False))
-        assert np.array_equal(_pieces(source, seed, start, width, [0, *cuts, n]), expected), cuts
+        assert np.array_equal(_pieces(seed, start, width, [0, *cuts, n]), expected), cuts
 
 
 def test_amplitude_block_keys_its_stream_by_width():
     """Each width is its own stream: a narrow block is not the head of a wide one."""
-    source = SourceModel(a=1e-3, n_emitters=48)
-    narrow = montecarlo._amplitude_block(source, 19, 1000, 12, 3)
+    narrow = _pieces(19, 1000, 3, [0, 12])
     assert np.array_equal(narrow, _philox_rows(19, 3, range(1000, 1012)))
-    assert np.array_equal(_pieces(source, 19, 1000, 3, [0, 4, 8, 12]), narrow)
-    wide = montecarlo._amplitude_block(source, 19, 1000, 12)
+    assert np.array_equal(_pieces(19, 1000, 3, [0, 4, 8, 12]), narrow)
+    wide = _pieces(19, 1000, 48, [0, 12])
     assert not np.any(wide[:, :3] == narrow)
 
 
 @pytest.mark.parametrize("width, chunks", [(3, [7, 5, 13]), (4, [5, 13, 7]), (256, [13, 7, 5])])
 def test_stream_drawn_in_chunks_matches_keyed_blocks(width, chunks):
     """Rows are whole Philox blocks: one stream drawn chunk by chunk gives each keyed block."""
-    source = SourceModel(a=1e-3, n_emitters=64)
     stream = montecarlo._philox_stream(29, width)
     start = 0
     for count in chunks:
         drawn = montecarlo._draw_amplitudes(stream, count, width)
-        assert np.array_equal(drawn, montecarlo._amplitude_block(source, 29, start, count, width))
+        assert np.array_equal(drawn, _pieces(29, start, width, [0, count]))
         start += count
 
 
@@ -243,7 +243,7 @@ def test_amplitude_moments():
     emitters = np.concatenate(
         [sample_realization(source, seed=11, index=k).amplitudes for k in range(2000)]
     )
-    path_basis = montecarlo._amplitude_block(source, 11, 0, 40000, 3).ravel()
+    path_basis = _pieces(11, 0, 3, [0, 40000]).ravel()
     for draws in (emitters, path_basis):
         mean_n = np.mean(np.abs(draws) ** 2)
         assert mean_n == pytest.approx(1.0, rel=0.01)
@@ -528,8 +528,12 @@ def _ensemble_realizations(source, table, detectors, seed, n):
     ]
 
 
-def test_mean_intensity_matches_per_realization_loop():
-    setup = gate_setup()
+@pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
+def test_mean_intensity_matches_per_realization_loop(setup):
+    """On the gate mask the pass reduces pair features; behind tilted mirrors it forms fields.
+
+    The MZ arm's basis has 6 > MAX_PAIR_WIDTH legs at these 3 positions.
+    """
     xs = np.array([0.0, 1e-5, 3e-5])
     n = 200
     mean, stderr = estimate_mean_intensity(
@@ -543,36 +547,6 @@ def test_mean_intensity_matches_per_realization_loop():
     ])
     np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(stderr, intensities.std(axis=0) / math.sqrt(n), rtol=1e-9)
-
-
-def test_mz_mean_intensity_forms_each_field_once():
-    """Behind tilted mirrors a mean-intensity scan multiplies by M kernel columns, not 2M.
-
-    Its mean and stderr equal, to 1e-12, those of the pass that takes the
-    arm's kernel as both C and T.
-    """
-    setup, xs, n = mz_setup(), np.linspace(-1e-4, 1e-4, 21), 300
-    columns = []
-    original = montecarlo._draw_amplitudes
-
-    class Recording(np.ndarray):
-        def __matmul__(self, other):
-            columns.append(other.shape[1])
-            return np.asarray(self) @ other
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            montecarlo, "_draw_amplitudes", lambda *args: original(*args).view(Recording)
-        )
-        mean, stderr = estimate_mean_intensity(
-            setup, "C", xs, n_realizations=n, seed=3, angles=QUARTER_ANGLES, n_emitters=64
-        )
-    assert columns and set(columns) == {len(xs)}
-    source = SourceModel(a=setup.a, n_emitters=64)
-    _, (kernel,) = montecarlo._path_basis(source, path_table(setup, QUARTER_ANGLES), [("C", xs)])
-    both_mean, both_var, _ = montecarlo._ensemble_moments(source, 3, n, kernel, kernel)
-    np.testing.assert_allclose(mean, both_mean, rtol=1e-12)
-    np.testing.assert_allclose(stderr, np.sqrt(both_var / n), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -641,7 +615,7 @@ def test_truth_table_is_the_scan_estimator_at_one_point():
 
 
 def test_estimators_refuse_a_table_without_positive_peak(monkeypatch):
-    def negative(source, seed, n_realizations, kernel_c, kernel_t=None):
+    def negative(source, seed, n_realizations, kernel_c, kernel_t):
         columns = kernel_c.shape[1]
         return np.ones(columns), -np.ones(columns), np.ones(columns)
 

@@ -73,6 +73,45 @@ def test_higher_is_better_counts_wins_upward():
     assert out["gain"] and out["within_bound"]
 
 
+@pytest.mark.parametrize("metric, factor", [(WALL, 0.90), (RATE, 1.10)], ids=["lower", "higher"])
+def test_paired_ratio_is_change_over_parent_and_ties_count_for_neither(metric, factor):
+    change = [p * factor for p in PARENT[:7]] + PARENT[7:]
+    out = run_bench.summarize(runs_of(metric["name"], PARENT, change), [metric])[metric["name"]]
+    assert out["median_pair_ratio"] == pytest.approx(factor)
+    assert out["tied_pairs"] == 3
+    assert out["change_better_pairs"] == 7
+    assert not out["gain"] and out["within_bound"]
+
+
+def bench_25_runs(workload):
+    """BENCH_25.json's stored raw runs of one workload, as summarize takes them."""
+    stored = json.loads((run_bench.ROOT / "BENCH_25.json").read_text())["workloads"][workload]
+    metrics = json.loads((run_bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [metric["name"] for metric in metrics]
+    runs = {side: [{"metrics": {name: {"value": v} for name, v in zip(names, values)},
+                    "failed": 0, "attempted": 0, "correct": True}
+                   for values in zip(*(stored[name][f"{side}_runs"] for name in names))]
+            for side in ("parent", "change")}
+    return stored, run_bench.summarize(runs, metrics)
+
+
+@pytest.mark.parametrize("workload", ["closed-form-scan", "ensemble-scan", "truth-table"])
+def test_bench_25_runs_resummarize_to_their_stored_verdicts(workload):
+    stored, out = bench_25_runs(workload)
+    for name in ("wall_s", "cpu_s", "peak_rss_mb", "setup_s", "points_per_s"):
+        for key in ("gain", "within_bound", "change_better_pairs"):
+            assert out[name][key] == stored[name][key], (name, key)
+
+
+def test_bench_25_closed_form_scan_wins_its_pairs_without_a_gain():
+    """A drifting host spread the parent's runs wider than an 11% gain that won 9 of 10 pairs."""
+    _, out = bench_25_runs("closed-form-scan")
+    assert out["wall_s"]["median_pair_ratio"] == pytest.approx(0.893, abs=5e-4)
+    assert out["wall_s"]["change_better_pairs"] == 9
+    assert out["wall_s"]["tied_pairs"] == 0
+    assert not out["wall_s"]["gain"]
+
+
 def test_main_records_the_provenance_of_every_run(monkeypatch, tmp_path):
     """Each run keeps its start, its pair's first side and the load read just before it.
 
