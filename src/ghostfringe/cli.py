@@ -123,10 +123,13 @@ exit codes:
 
 @dataclass
 class RunReport:
-    """Everything one run produced: patterns per mode, violations, metrics, timings."""
+    """Everything one run produced: results per mode, violations, metrics, timings.
+
+    A scan's results are CorrelationPatterns, a truth table's TruthTables.
+    """
 
     config: ExperimentConfig
-    patterns: dict[str, CorrelationPattern]
+    patterns: dict[str, CorrelationPattern | TruthTable]
     comparisons: dict[str, dict[str, float]]
     problems: list[Violation]
     timings: dict[str, float]
@@ -250,8 +253,9 @@ def conditions_report(config: ExperimentConfig, grid: np.ndarray):
     return worst_margins(margins), violations(margins)
 
 
-def _each_mode(config: ExperimentConfig, evaluate) -> tuple[dict, dict[str, float]]:
-    """evaluate(mode) for every configured mode, and the seconds each took.
+def _each_mode(config: ExperimentConfig, points: np.ndarray, evaluate) -> RunReport:
+    """A report of evaluate(mode) for every configured mode, the seconds each
+    took and the condition problems at points, with no comparisons yet.
 
     conditions_report checks the configured points for every mode, so the
     closed forms' own warnings would only repeat it.
@@ -263,11 +267,13 @@ def _each_mode(config: ExperimentConfig, evaluate) -> tuple[dict, dict[str, floa
             tic = time.perf_counter()
             results[mode] = evaluate(mode)
             timings[mode] = time.perf_counter() - tic
-    return results, timings
+    _, problems = conditions_report(config, points)
+    return RunReport(config=config, patterns=results, comparisons={}, problems=problems,
+                     timings=timings)
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Evaluate the configured scan in every requested mode."""
+    """Evaluate the configured scan in every requested mode and compare the modes."""
     grid = make_grid(config.axis, config.start, config.stop, config.step, config.detector_x)
 
     def evaluate(mode: str) -> CorrelationPattern:
@@ -278,9 +284,8 @@ def run(config: ExperimentConfig) -> RunReport:
             )
         return evaluate_pattern(config.setup, grid, mode, angles=config.angles)
 
-    patterns, timings = _each_mode(config, evaluate)
-
-    comparisons: dict[str, dict[str, float]] = {}
+    report = _each_mode(config, grid, evaluate)
+    patterns, comparisons = report.patterns, report.comparisons
     for mode in ("exact", "asymptotic"):
         if mode in patterns and "mc" in patterns:
             comparisons[f"{mode}_vs_mc"] = compare_patterns(patterns[mode], patterns["mc"])
@@ -288,12 +293,24 @@ def run(config: ExperimentConfig) -> RunReport:
         comparisons["exact_vs_asymptotic"] = compare_patterns(
             patterns["exact"], patterns["asymptotic"]
         )
+    return report
 
-    _, problems = conditions_report(config, grid)
-    return RunReport(
-        config=config, patterns=patterns, comparisons=comparisons, problems=problems,
-        timings=timings,
-    )
+
+def run_table(config: ExperimentConfig) -> RunReport:
+    """Evaluate the basis truth table at (detector_x, detector_x) in every requested mode."""
+    if not isinstance(config.setup, (SetupGate, SetupMZ)):
+        raise ConfigError("truth-table needs a gate or mz setup")
+    x = config.detector_x
+
+    def evaluate(mode: str) -> TruthTable:
+        if mode == "mc":
+            return estimate_truth_table(
+                config.setup, x, x, config.n_realizations, config.seed,
+                n_emitters=config.n_emitters,
+            )
+        return TruthTable(values=closed_form(basis_table(config.setup), x, x, mode).reshape(4, 4))
+
+    return _each_mode(config, np.array([[x, x]]), evaluate)
 
 
 def _preamble(config: ExperimentConfig) -> list[str]:
@@ -365,16 +382,28 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:
-    """Write one CSV per pattern plus a comparison CSV when two modes ran.
+    """Write the report's CSVs and return their paths.
 
-    Output is a pure function of the configuration, so repeated runs produce
-    byte-identical files.
+    A pattern goes to scan_<mode>.csv, a truth table to truth_table_<mode>.csv
+    and its stderr, when it has one, to truth_table_<mode>_stderr.csv; a
+    comparison CSV follows when two modes ran. Output is a pure function of
+    the configuration, so repeated runs produce byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     preamble = _preamble(report.config)
     written: list[Path] = []
     for mode, pattern in report.patterns.items():
+        if isinstance(pattern, TruthTable):
+            header = "input," + ",".join(BASIS_LABELS)
+            for which, suffix, table in (("values", "", pattern.values),
+                                         ("stderr", "_stderr", pattern.stderr)):
+                if table is not None:
+                    path = out / f"truth_table_{mode}{suffix}.csv"
+                    _write_csv(path, preamble + [f"# table={which}", header], table,
+                               labels=BASIS_LABELS)
+                    written.append(path)
+            continue
         columns = [pattern.grid, pattern.values]
         header = "x_C,x_T,value"
         if pattern.stderr is not None:
@@ -398,13 +427,6 @@ def emit(report: RunReport, out_dir) -> list[Path]:
     return written
 
 
-def _write_table(path: Path, preamble: list[str], table: TruthTable, which: str) -> None:
-    _write_csv(
-        path, preamble + [f"# table={which}", "input," + ",".join(BASIS_LABELS)],
-        table.values if which == "values" else table.stderr, labels=BASIS_LABELS,
-    )
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = parse_config(args.config)
     if getattr(args, "mode", None):
@@ -420,9 +442,9 @@ def _report_problems(problems: list[Violation], strict: bool) -> int:
     return 2 if strict and problems else 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    report = run(config)
+def _write_report(report: RunReport, args: argparse.Namespace) -> int:
+    """Emit the report under --out, print what it wrote, its timings and
+    comparisons, and report its condition problems."""
     tic = time.perf_counter()
     written = emit(report, args.out)
     report.timings["emit"] = time.perf_counter() - tic
@@ -439,38 +461,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return _report_problems(report.problems, args.strict_conditions)
 
 
+def cmd_scan(args: argparse.Namespace) -> int:
+    return _write_report(run(_load_config(args)), args)
+
+
 def cmd_truth_table(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if not isinstance(config.setup, (SetupGate, SetupMZ)):
-        raise ConfigError("truth-table needs a gate or mz setup")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    preamble = _preamble(config)
-    x_c = x_t = config.detector_x
-
-    def evaluate(mode: str) -> TruthTable:
-        if mode == "mc":
-            return estimate_truth_table(
-                config.setup, x_c, x_t, config.n_realizations, config.seed,
-                n_emitters=config.n_emitters,
-            )
-        values = closed_form(basis_table(config.setup), x_c, x_t, mode)
-        return TruthTable(values=values.reshape(4, 4))
-
-    tables, _ = _each_mode(config, evaluate)
-    written: list[Path] = []
-    for mode, table in tables.items():
-        path = out / f"truth_table_{mode}.csv"
-        _write_table(path, preamble, table, "values")
-        written.append(path)
-        if table.stderr is not None:
-            err_path = out / f"truth_table_{mode}_stderr.csv"
-            _write_table(err_path, preamble, table, "stderr")
-            written.append(err_path)
-    for path in written:
-        print(f"wrote {path}")
-    _, problems = conditions_report(config, np.array([[x_c, x_t]]))
-    return _report_problems(problems, args.strict_conditions)
+    return _write_report(run_table(_load_config(args)), args)
 
 
 def _corrected_pearson(pearson: float, pattern: CorrelationPattern) -> float:
@@ -492,7 +488,6 @@ def _corrected_pearson(pearson: float, pattern: CorrelationPattern) -> float:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run(replace(_load_config(args), mode="all"))
-    exact = report.patterns["exact"]
     metrics = report.comparisons["exact_vs_mc"]
     corrected = _corrected_pearson(metrics["pearson"], report.patterns["mc"])
     print(f"nrmse: {metrics['nrmse']:.6g}")
@@ -500,8 +495,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"pearson_corrected: {corrected:.6g}")
     print(f"max_sigma_dev: {metrics['max_sigma_dev']:.6g}")
     sigma_ok = metrics["max_sigma_dev"] <= 4.0
-    values = np.asarray(exact.values)
-    flat = values.max() <= 0.0 or np.ptp(values) <= 1e-9 * values.max()
+    # compare_patterns gives no Pearson correlation when a pattern is flat.
+    flat = math.isnan(metrics["pearson"])
     pearson_ok = flat or corrected >= 0.99
     if flat:
         print("pattern is flat; pearson criterion skipped")
@@ -592,4 +587,5 @@ __all__ = [
     "main",
     "parse_config",
     "run",
+    "run_table",
 ]

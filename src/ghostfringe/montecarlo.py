@@ -500,7 +500,9 @@ def compare_patterns(analytic: CorrelationPattern, mc: CorrelationPattern) -> di
 
     Both patterns are brought to unit peak before comparison. Returns nrmse
     (rms difference in units of the peak), the Pearson correlation of the two
-    curves, and the largest deviation in units of the ensemble stderr.
+    curves, and the largest deviation in units of the ensemble stderr. A
+    pattern with no positive peak (all zero) or a range of at most 1e-9 of
+    its peak is flat: it has no shape to correlate, so pearson is NaN.
     """
     if not np.array_equal(analytic.grid, mc.grid):
         raise ValueError("patterns are on different grids")
@@ -508,14 +510,12 @@ def compare_patterns(analytic: CorrelationPattern, mc: CorrelationPattern) -> di
     b = np.asarray(mc.values, dtype=float)
     a_peak = a.max()
     b_peak = b.max()
+    flat = np.ptp(a) <= 1e-9 * a_peak or np.ptp(b) <= 1e-9 * b_peak
     a = a / a_peak if a_peak > 0 else a
     b = b / b_peak if b_peak > 0 else b
     diff = a - b
     nrmse = float(np.sqrt(np.mean(diff * diff)))
-    if a.std() == 0.0 or b.std() == 0.0:
-        pearson = 1.0 if np.allclose(a, b) else 0.0
-    else:
-        pearson = float(np.corrcoef(a, b)[0, 1])
+    pearson = math.nan if flat else float(np.corrcoef(a, b)[0, 1])
     if mc.stderr is None:
         max_sigma_dev = math.nan
     else:

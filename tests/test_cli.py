@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ghostfringe
 from ghostfringe import _g17, cli
 from ghostfringe.analytic import CorrelationPattern
-from ghostfringe.cli import ConfigError, RunReport, _write_table, emit, main, parse_config
+from ghostfringe.cli import ConfigError, RunReport, emit, main, parse_config
 from ghostfringe.gate import BASIS_LABELS, TruthTable, ideal_cnot_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import MIN_EMITTERS, MIN_REALIZATIONS
@@ -626,10 +626,13 @@ def test_truth_table_csv_matches_per_cell_formatting(tmp_path):
     values[0, 1:] = [-0.0, math.nan, 5e-324]
     stderr = np.full((4, 4), 1e308)
     stderr[3] = [math.inf, -math.inf, 0.1, -1e-300]
-    table = TruthTable(values, stderr=stderr)
-    for which, data in (("values", values), ("stderr", stderr)):
-        path = tmp_path / f"{which}.csv"
-        _write_table(path, preamble_lines(config), table, which)
+    tables = {"exact": TruthTable(values[::-1]), "mc": TruthTable(values, stderr=stderr)}
+    out = tmp_path / "out"
+    written = emit(make_report(config, tables), out)
+    assert written == [out / "truth_table_exact.csv", out / "truth_table_mc.csv",
+                       out / "truth_table_mc_stderr.csv"]
+    for path, which, data in zip(written, ("values", "values", "stderr"),
+                                 (values[::-1], values, stderr)):
         head = preamble_lines(config) + [f"# table={which}", "input,HH,HV,VH,VV"]
         rows = [[label, *row] for label, row in zip(BASIS_LABELS, data.tolist())]
         assert path.read_text() == per_cell_csv(head, rows)
@@ -799,6 +802,30 @@ def test_truth_table_exact_is_cnot_permutation(tmp_path):
     assert labels == ["HH", "HV", "VH", "VV"]
     values = np.array([[float(v) for v in r[1:]] for r in rows])
     assert np.max(np.abs(values - ideal_cnot_table())) < 1e-9
+
+
+def test_truth_table_writes_every_mode_through_one_emit(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, GATE_SETUP + MC_SMALL)
+    out = tmp_path / "out"
+    calls = []
+
+    def recorded(report, out_dir):
+        written = emit(report, out_dir)
+        calls.append((report, written))
+        return written
+
+    monkeypatch.setattr(cli, "emit", recorded)
+    assert main(["truth-table", "--config", config, "--mode", "all", "--out", str(out)]) == 0
+    [(report, written)] = calls
+    names = ["truth_table_exact.csv", "truth_table_asymptotic.csv", "truth_table_mc.csv",
+             "truth_table_mc_stderr.csv"]
+    assert written == [out / name for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert all(isinstance(table, TruthTable) for table in report.patterns.values())
+    assert report.comparisons == {}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [f"wrote {path}" for path in written]
+    assert [line.split(":")[0] for line in lines[4:]] == ["exact", "asymptotic", "mc", "emit"]
 
 
 def test_truth_table_mc_writes_stderr_file(tmp_path):

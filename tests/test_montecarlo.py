@@ -1044,14 +1044,24 @@ def test_compare_scale_invariance():
 
 
 def test_compare_flat_patterns_fall_back_cleanly():
+    """A flat pattern has no shape to correlate: pearson is NaN, nrmse still counts."""
     grid = make_grid("diagonal", 0.0, 2e-5, 1e-5)
-    flat = CorrelationPattern(grid=grid, values=np.full(3, 4.0), mode="exact")
-    same = CorrelationPattern(grid=grid, values=np.full(3, 2.0), mode="monte-carlo")
-    assert compare_patterns(flat, same)["pearson"] == 1.0
-    tilted = CorrelationPattern(
-        grid=grid, values=np.array([1.9, 2.0, 2.1]), mode="monte-carlo"
-    )
-    assert compare_patterns(flat, tilted)["pearson"] == 0.0
+
+    def pattern(*values):
+        return CorrelationPattern(grid=grid, values=np.array(values), mode="exact")
+
+    flat, tilted = pattern(4.0, 4.0, 4.0), pattern(1.9, 2.0, 2.1)
+    metrics = compare_patterns(flat, pattern(2.0, 2.0, 2.0))
+    assert math.isnan(metrics["pearson"])
+    assert metrics["nrmse"] == 0.0
+    assert math.isnan(compare_patterns(flat, tilted)["pearson"])
+    assert math.isnan(compare_patterns(tilted, flat)["pearson"])
+    # Flat means a range of at most 1e-9 of the peak; values are nonnegative, so
+    # an all-zero pattern is the only one with no positive peak, and it is flat.
+    assert math.isnan(compare_patterns(pattern(4.0, 4.0 - 2e-9, 4.0), tilted)["pearson"])
+    assert not math.isnan(compare_patterns(pattern(4.0, 4.0 - 8e-9, 4.0), tilted)["pearson"])
+    assert math.isnan(compare_patterns(pattern(0.0, 0.0, 0.0), tilted)["pearson"])
+    assert compare_patterns(tilted, tilted)["pearson"] == pytest.approx(1.0)
 
 
 def test_compare_requires_matching_grids():
