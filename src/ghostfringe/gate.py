@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -127,8 +128,21 @@ def ideal_cnot_table() -> np.ndarray:
 
 
 def basis_table(setup: SetupGate | SetupMZ) -> PathTable:
-    """Path table of the 16 basis settings, their weights stacked row-major over BASIS_LABELS."""
-    weights = [path_table(setup, angles).coefficients for angles in basis_settings()]
+    """Path table of the 16 basis settings, their weights stacked row-major over BASIS_LABELS.
+
+    Each setting's weights are path_table's at the angles of basis_settings,
+    written out with the same products, so they are bit for bit equal.
+    """
+    if not isinstance(setup, (SetupGate, SetupMZ)):
+        raise ValueError(f"{type(setup).__name__} is unpolarized: it has no basis settings")
+    angles = [BASIS_ANGLES[letter] for letter in "HV"]
+    sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
+    weights = [
+        [[math.cos(tc) * math.cos(pc), sign * (math.sin(tc) * math.sin(pc))],
+         [math.cos(tt - pt), sign * math.sin(tt + pt)]]
+        for pc, pt in product(angles, repeat=2)
+        for tc, tt in product(angles, repeat=2)
+    ]
     return PathTable(setup, np.array(weights))
 
 

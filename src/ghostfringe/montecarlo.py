@@ -15,12 +15,15 @@ counter r * ceil(width / 2) and a whole block is one vectorized draw: any
 partition of the ensemble into chunks draws identical amplitudes. The
 Box-Muller phase exp(2*pi*i * u) takes no trigonometric call per draw: a
 4096-entry table, built once at import, times short cos and sin polynomials
-of the remainder (_unit_phase), within 2e-15 of numpy's complex exp. The
-ensemble is walked once in chunks that ignore the batch edges, and each chunk
-is split at those edges (_ensemble_moments). An intensity is a sum over pairs
-of path amplitudes, |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so a
-basis of width w <= MAX_PAIR_WIDTH, as on every mask, reduces the ensemble on
-those w * w pair features instead of forming a field per column.
+of the remainder (_unit_phase), within 2e-15 of numpy's complex exp. An
+intensity is a sum over pairs of path amplitudes, |a . k|^2 = sum_ij
+conj(a_i) a_j conj(k_i) k_j, so a basis of width w <= MAX_PAIR_WIDTH, as on
+every mask, reduces the ensemble on those w * w pair features instead of
+forming a field per column. The ensemble is walked once in chunks that never
+cross a batch edge (_chunk_walk): as many whole batches as fit in a chunk, or
+slices of one larger batch. A pair chunk holds PAIR_CHUNK_AMPLITUDES // w
+rows whatever the number of columns, a field chunk CHUNK_VALUES // (w +
+columns) rows (_ensemble_moments).
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -50,6 +53,12 @@ MIN_EMITTERS = 64
 # for any n_realizations.
 N_BATCHES = 10
 CHUNK_VALUES = 2**18
+
+# Amplitudes one chunk of the pair reduction draws, so it holds
+# PAIR_CHUNK_AMPLITUDES // w rows whatever the number of columns. Its draw
+# temporaries stay below glibc's 128 KiB mmap threshold and so come from the
+# heap instead of being faulted in anew on every pass.
+PAIR_CHUNK_AMPLITUDES = 2**12
 
 # Widest path basis whose ensemble reduces on pairs of amplitudes, whatever
 # the number of columns: a mask has at most four legs. The pair reduction's
@@ -328,6 +337,26 @@ def _pair_coefficients(kernel, pairs):
     return np.vstack([squares, cross.real, -cross.imag])
 
 
+def _chunk_walk(edges, rows):
+    """The chunks of an ensemble cut into batches at edges, as lists of (batch, start, stop).
+
+    A chunk holds as many whole batches as fit in rows realizations, each a
+    piece of its own, or rows realizations of one batch larger than that, so
+    no piece crosses a batch edge and a batch that fits is one piece.
+    """
+    batch = 0
+    while batch < len(edges) - 1:
+        last = batch + 1
+        while last < len(edges) - 1 and edges[last + 1] - edges[batch] <= rows:
+            last += 1
+        if edges[last] - edges[batch] <= rows:
+            yield [(b, edges[b], edges[b + 1]) for b in range(batch, last)]
+        else:
+            for start in range(edges[batch], edges[last], rows):
+                yield [(batch, start, min(start + rows, edges[last]))]
+        batch = last
+
+
 def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     """One pass over the ensemble, shared by every estimator.
 
@@ -335,21 +364,23 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     basis of the setup (_path_basis): column m gives the C and T arm fields
     of the m-th detector pair or angle setting, and a realization draws one
     amplitude per row, once whatever M is. The realizations are walked from 0
-    in chunks of CHUNK_VALUES // (width + 2 * M) rows, drawn in order from one
-    keyed stream, so memory does not grow with n_realizations and one Philox
-    generator serves the pass. Each chunk is split at the edges of the
-    N_BATCHES batches into per-batch sums of I_C, I_T and I_C * I_T.
+    in chunks drawn in order from one keyed stream, so memory does not grow
+    with n_realizations and one Philox generator serves the pass. No chunk
+    crosses an edge of the N_BATCHES batches (_chunk_walk): it holds whole
+    batches or a slice of one, and each of its pieces adds to its batch's
+    sums of I_C, I_T and I_C * I_T.
 
     Every intensity is a sum over pairs of path amplitudes,
     |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
     is at most MAX_PAIR_WIDTH, as on every mask, no arm field is formed
-    whatever M is: each piece of a chunk adds P^T P to its batch, where P
-    holds the w * w pair features V (_pair_features) and a last column of
-    ones, so one product gives the Gram matrix V^T V and, in its last row,
-    the feature sums s. The batch sums are then s @ W_C, s @ W_T and the
-    column sums of W_C * (V^T V @ W_T) with the pair coefficients W
-    (_pair_coefficients), at a cost per realization that does not grow with
-    M. Wider bases, as behind tilted mirrors, form the fields whatever M is.
+    whatever M is: chunks of PAIR_CHUNK_AMPLITUDES // w rows, and each piece
+    adds P^T P to its batch, where P holds the w * w pair features V
+    (_pair_features) and a last column of ones, so one product gives the Gram
+    matrix V^T V and, in its last row, the feature sums s. The batch sums are
+    then s @ W_C, s @ W_T and the column sums of W_C * (V^T V @ W_T) with the
+    pair coefficients W (_pair_coefficients), at a cost per realization, and
+    a chunk count, that do not grow with M. Wider bases, as behind tilted
+    mirrors, form the fields in chunks of CHUNK_VALUES // (w + 2 * M) rows.
     Returns, per column, the mean C intensity, the intensity covariance and
     its batch-means stderr over N_BATCHES batches.
     """
@@ -357,30 +388,27 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     kernel = np.hstack([kernel_c, kernel_t])
     width, columns = kernel.shape
     half = kernel_c.shape[1]
-    rows = max(1, CHUNK_VALUES // (width + columns))
     edges = [n_realizations * b // N_BATCHES for b in range(N_BATCHES + 1)]
     pairs = np.triu_indices(width, 1) if width <= MAX_PAIR_WIDTH else None
     if pairs is not None:
+        rows = PAIR_CHUNK_AMPLITUDES // width
         features = np.empty((min(rows, n_realizations), width * width + 1))
         features[:, -1] = 1.0
         grams = np.zeros((N_BATCHES, width * width + 1, width * width + 1))
     else:
+        rows = max(1, CHUNK_VALUES // (width + columns))
         sums = np.zeros((N_BATCHES, 3, half))
     stream = _philox_stream(seed, width)
-    for first in range(0, n_realizations, rows):
-        count = min(rows, n_realizations - first)
+    for pieces in _chunk_walk(edges, rows):
+        first, count = pieces[0][1], pieces[-1][2] - pieces[0][1]
         amplitudes = _draw_amplitudes(stream, count, width)
         if pairs is not None:
             values = _pair_features(amplitudes, pairs, features[:count])
         else:
             values = np.abs(amplitudes @ kernel)
             values *= values
-        for batch in range(N_BATCHES):
-            lo = max(edges[batch], first) - first
-            hi = min(edges[batch + 1], first + count) - first
-            if lo >= hi:
-                continue
-            part = values[lo:hi]
+        for batch, start, stop in pieces:
+            part = values[start - first:stop - first]
             if pairs is not None:
                 grams[batch] += part.T @ part
             else:

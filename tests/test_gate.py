@@ -122,6 +122,15 @@ def test_basis_angles_mapping():
     assert basis_angles("VH") == (math.pi / 2.0, 0.0)
 
 
+@pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
+def test_basis_table_stacks_the_path_tables_of_the_basis_settings(setup):
+    """basis_table writes out path_table's weights at each basis setting, bit for bit."""
+    stacked = np.array([path_table(setup, angles).coefficients for angles in basis_settings()])
+    weights = basis_table(setup).coefficients
+    assert np.array_equal(weights, stacked)
+    assert np.array_equal(np.signbit(weights), np.signbit(stacked))
+
+
 def test_ideal_cnot_is_permutation():
     table = ideal_cnot_table()
     assert table.shape == (4, 4)

@@ -185,7 +185,7 @@ def test_stream_drawn_in_chunks_matches_keyed_blocks(width, chunks):
 
 
 def test_ensemble_pass_builds_one_philox_generator(monkeypatch):
-    """An estimate on the ensemble-scan geometry draws its 13 chunks from one keyed generator."""
+    """An estimate on the ensemble-scan geometry draws its 20 chunks from one keyed generator."""
     built = []
     philox = np.random.Philox
 
@@ -908,9 +908,10 @@ def pair_cases(draw):
 def test_pair_reduction_matches_field_intensities(case, seed, n_realizations, rows):
     """The pair-feature Gram gives the moments that |a @ K|^2 gives on the same rows.
 
-    Chunks of a few rows straddle the batch edges, so each batch sums pieces
-    of several chunks. MAX_PAIR_WIDTH = 0 sends the same kernels to the field
-    branch.
+    Both branches take chunks of the same few rows: batches larger than that
+    are cut into slices, so each sums pieces of several chunks, and smaller
+    ones share a chunk. MAX_PAIR_WIDTH = 0 sends the same kernels to the
+    field branch.
     """
     setup, table, detectors = case
     source = SourceModel(a=setup.a, n_emitters=64)
@@ -918,13 +919,16 @@ def test_pair_reduction_matches_field_intensities(case, seed, n_realizations, ro
     width = kernels[0].shape[0]
     moments = {}
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "PAIR_CHUNK_AMPLITUDES", rows * width)
         patch.setattr(montecarlo, "CHUNK_VALUES", rows * (width + 2 * kernels[0].shape[1]))
         calls, moments["pairs"] = _pair_feature_calls(
             lambda: montecarlo._ensemble_moments(source, seed, n_realizations, *kernels)
         )
         patch.setattr(montecarlo, "MAX_PAIR_WIDTH", 0)
         moments["fields"] = montecarlo._ensemble_moments(source, seed, n_realizations, *kernels)
-    assert sum(calls) == n_realizations and max(calls) == rows
+    assert sum(calls) == n_realizations and max(calls) <= rows
+    # a batch larger than the chunk starts with a full one
+    assert max(calls) == rows or rows >= n_realizations // montecarlo.N_BATCHES + 1
     # the largest expected intensity, n * |k|^2 with n = 1, over both arms' columns
     peak = max((np.abs(kernel) ** 2).sum(axis=0).max() for kernel in kernels)
     for pairs, fields, scale in zip(moments["pairs"], moments["fields"], (peak, peak**2, peak**2)):
@@ -940,7 +944,7 @@ def test_pair_reduction_matches_field_intensities(case, seed, n_realizations, ro
     ids=["pairs", "fields"],
 )
 def test_chunk_size_moves_moments_only_by_rounding(setup, angles, grid, pairs):
-    """Chunks that straddle the batch edges agree with the default walk to 1e-12.
+    """Batches cut into several chunks agree with the default walk to 1e-12.
 
     The draws do not depend on the chunks, only the order of the sums does.
     Repeated calls with one chunk size are bit-identical.
@@ -956,7 +960,8 @@ def test_chunk_size_moves_moments_only_by_rounding(setup, angles, grid, pairs):
     again = montecarlo._ensemble_moments(source, 9, 1000, *kernels)
     assert all(np.array_equal(first, second) for first, second in zip(default, again))
     with pytest.MonkeyPatch.context() as patch:
-        # 37 rows per chunk: 28 chunks, and 9 of them cross a batch edge
+        # 37 rows per chunk: each batch of 100 is cut into 37 + 37 + 26 rows
+        patch.setattr(montecarlo, "PAIR_CHUNK_AMPLITUDES", 37 * kernels[0].shape[0])
         patch.setattr(montecarlo, "CHUNK_VALUES", 37 * (kernels[0].shape[0] + 2 * len(grid)))
         chunked = montecarlo._ensemble_moments(source, 9, 1000, *kernels)
     for first, second in zip(default, chunked):
@@ -964,11 +969,11 @@ def test_chunk_size_moves_moments_only_by_rounding(setup, angles, grid, pairs):
 
 
 def test_ensemble_memory_does_not_grow_with_realizations():
-    """The ensemble is walked in chunks of CHUNK_VALUES, so peak memory is flat in n_realizations."""
+    """The ensemble is walked in chunks of fixed size, so peak memory is flat in n_realizations."""
     setup = basic_setup()
     grid = make_grid("x_C", 0.0, 2e-4, 1e-6)
-    # two path amplitudes and two arm fields per point in each row of a chunk
-    rows = montecarlo.CHUNK_VALUES // (2 + 2 * len(grid))
+    # a pair chunk draws PAIR_CHUNK_AMPLITUDES over the mask's two path amplitudes
+    rows = montecarlo.PAIR_CHUNK_AMPLITUDES // 2
     peaks = []
     for n in (2 * montecarlo.N_BATCHES * rows, 8 * montecarlo.N_BATCHES * rows):
         tracemalloc.start()
@@ -978,6 +983,57 @@ def test_ensemble_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+@given(st.integers(min_value=100, max_value=5000), st.integers(min_value=1, max_value=1200))
+def test_chunk_walk_cuts_at_batch_edges(n_realizations, rows):
+    """Chunks of at most rows tile the ensemble in order, whole batches or slices of one."""
+    edges = [n_realizations * b // montecarlo.N_BATCHES for b in range(montecarlo.N_BATCHES + 1)]
+    chunks = list(montecarlo._chunk_walk(edges, rows))
+    pieces = [piece for chunk in chunks for piece in chunk]
+    assert [start for _, start, _ in pieces[1:]] == [stop for _, _, stop in pieces[:-1]]
+    assert pieces[0][1] == 0 and pieces[-1][2] == n_realizations
+    for chunk in chunks:
+        assert chunk[-1][2] - chunk[0][1] <= rows
+        for batch, start, stop in chunk:
+            assert edges[batch] <= start < stop <= edges[batch + 1]
+            if len(chunk) > 1 or edges[batch + 1] - edges[batch] <= rows:
+                assert (start, stop) == (edges[batch], edges[batch + 1])
+
+
+def test_long_mask_scan_draws_as_many_chunks_as_a_short_one():
+    """Pair chunks are sized by the basis width alone, not by the number of columns."""
+    calls = []
+    for points in (81, 8001):
+        grid = make_grid("x_C", 0.0, 4e-4, 4e-4 / (points - 1))
+        rows, _ = _pair_feature_calls(
+            lambda: estimate_dn_corr(offset_mask(), grid, 20000, seed=3, n_emitters=64)
+        )
+        assert sum(rows) == 20000
+        calls.append(len(rows))
+    assert calls[0] == calls[1], calls
+
+
+@pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
+def test_truth_table_keeps_its_bits_under_pair_budgets_that_fit_its_batches(setup):
+    """Each batch is one piece whenever it fits in a chunk, so the Grams and the table are exact."""
+    source = SourceModel(a=setup.a, n_emitters=64)
+    basis, _ = montecarlo._path_basis(source, basis_table(setup), [("C", [0.0]), ("T", [0.0])])
+    tables = []
+    # 1000 realizations make batches of 100: chunks of 150 rows hold one each,
+    # and the default chunk holds them all.
+    for budget in (150 * basis.shape[1], montecarlo.PAIR_CHUNK_AMPLITUDES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "PAIR_CHUNK_AMPLITUDES", budget)
+            rows, table = _pair_feature_calls(
+                lambda: estimate_truth_table(setup, 0.0, 0.0, 1000, seed=5, n_emitters=64)
+            )
+        assert sum(rows) == 1000
+        tables.append((table, len(rows)))
+    (first, first_chunks), (second, second_chunks) = tables
+    assert first_chunks > second_chunks
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.stderr, second.stderr)
 
 
 @pytest.mark.parametrize(
