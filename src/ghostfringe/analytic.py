@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,32 @@ class PathTable:
         return np.stack(np.broadcast_arrays(weights[..., 0], second), axis=-1)
 
 
+def angle_table(
+    setup: SetupGate | SetupMZ,
+    settings: GateAngles | Sequence[GateAngles],
+    mask_quad_scale: float = 1.0,
+) -> PathTable:
+    """The path table of a polarized setup, SetupGate or SetupMZ, at GateAngles settings.
+
+    The gate's weights are the plate-analyzer amplitudes of its fixed masks;
+    the tilted-mirror variant negates the second path of each arm, because
+    its polarizing splitter routes V through that path with a sign flip. One
+    GateAngles gives (2, 2) weights; a sequence stacks them in order.
+    """
+    if not isinstance(setup, (SetupGate, SetupMZ)):
+        raise ValueError(f"{type(setup).__name__} is unpolarized: it has no angle settings")
+    sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
+
+    def weights(a: GateAngles) -> list[list[float]]:
+        return [[math.cos(a.theta_c) * math.cos(a.phi_c),
+                 sign * (math.sin(a.theta_c) * math.sin(a.phi_c))],
+                [math.cos(a.theta_t - a.phi_t), sign * math.sin(a.theta_t + a.phi_t)]]
+
+    if isinstance(settings, GateAngles):
+        return PathTable(setup, np.array(weights(settings)), mask_quad_scale)
+    return PathTable(setup, np.array([weights(a) for a in settings]), mask_quad_scale)
+
+
 def path_table(
     setup: SetupBasic | SetupGate | SetupMZ,
     angles: GateAngles | None = None,
@@ -144,28 +171,16 @@ def path_table(
 ) -> PathTable:
     """The path table of a setup at one preparation-analyzer setting.
 
-    Polarized setups (SetupGate, SetupMZ) require angles and SetupBasic
-    refuses them. The gate's weights are the plate-analyzer amplitudes of its
-    fixed masks; the tilted-mirror variant negates the second path of each
-    arm, because its polarizing splitter routes V through that path with a
-    sign flip.
+    Polarized setups (SetupGate, SetupMZ) require angles and take their
+    weights from angle_table; SetupBasic refuses angles and has unit weights.
     """
+    if angles is not None:
+        return angle_table(setup, angles, mask_quad_scale)
     if isinstance(setup, (SetupGate, SetupMZ)):
-        if angles is None:
-            raise ValueError(
-                f"{type(setup).__name__} is polarized: preparation and analyzer angles are required"
-            )
-        u1 = math.cos(angles.theta_c) * math.cos(angles.phi_c)
-        u2 = math.sin(angles.theta_c) * math.sin(angles.phi_c)
-        t1 = math.cos(angles.theta_t - angles.phi_t)
-        t2 = math.sin(angles.theta_t + angles.phi_t)
-        sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
-        coefficients = np.array([[u1, sign * u2], [t1, sign * t2]])
-    elif angles is not None:
-        raise ValueError("SetupBasic is unpolarized: angles must be None")
-    else:
-        coefficients = np.ones((2, 2))
-    return PathTable(setup, coefficients, mask_quad_scale)
+        raise ValueError(
+            f"{type(setup).__name__} is polarized: preparation and analyzer angles are required"
+        )
+    return PathTable(setup, mask_quad_scale=mask_quad_scale)
 
 
 def _envelope_power(envelopes: np.ndarray):
@@ -423,6 +438,7 @@ __all__ = [
     "PairContribution",
     "PathTable",
     "Violation",
+    "angle_table",
     "b_phase",
     "closed_form",
     "condition_margins",

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .geometry import GateAngles, SetupGate, SetupMZ
-from .analytic import PathTable, closed_form, envelope_power, mz_phase, path_table
+from .analytic import PathTable, angle_table, closed_form, envelope_power, mz_phase, path_table
 
 # Basis convention: H is logical 0 at angle 0, V is logical 1 at pi/2.
 BASIS_ANGLES = {"H": 0.0, "V": math.pi / 2.0}
@@ -117,6 +116,9 @@ def basis_settings() -> list[GateAngles]:
     ]
 
 
+_BASIS_SETTINGS = tuple(basis_settings())
+
+
 def ideal_cnot_table() -> np.ndarray:
     """CNOT as a permutation: the control flips the target when V."""
     table = np.zeros((4, 4))
@@ -128,22 +130,8 @@ def ideal_cnot_table() -> np.ndarray:
 
 
 def basis_table(setup: SetupGate | SetupMZ) -> PathTable:
-    """Path table of the 16 basis settings, their weights stacked row-major over BASIS_LABELS.
-
-    Each setting's weights are path_table's at the angles of basis_settings,
-    written out with the same products, so they are bit for bit equal.
-    """
-    if not isinstance(setup, (SetupGate, SetupMZ)):
-        raise ValueError(f"{type(setup).__name__} is unpolarized: it has no basis settings")
-    angles = [BASIS_ANGLES[letter] for letter in "HV"]
-    sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
-    weights = [
-        [[math.cos(tc) * math.cos(pc), sign * (math.sin(tc) * math.sin(pc))],
-         [math.cos(tt - pt), sign * math.sin(tt + pt)]]
-        for pc, pt in product(angles, repeat=2)
-        for tc, tt in product(angles, repeat=2)
-    ]
-    return PathTable(setup, np.array(weights))
+    """Path table of the 16 basis settings, their weights stacked row-major over BASIS_LABELS."""
+    return angle_table(setup, _BASIS_SETTINGS)
 
 
 __all__ = [

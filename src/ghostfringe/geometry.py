@@ -40,7 +40,34 @@ def _require_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class SetupBasic:
+class _Source:
+    """The chaotic source: half-width a, center wavelength, seen from distance z."""
+
+    a: float
+    wavelength: float
+    z: float
+
+    def __post_init__(self) -> None:
+        _require_positive("a", self.a)
+        _require_positive("wavelength", self.wavelength)
+        _require_positive("z", self.z)
+
+    @property
+    def omega(self) -> float:
+        """Angular frequency 2*pi*c/wavelength (rad/s)."""
+        return 2.0 * math.pi * C_LIGHT / self.wavelength
+
+    @property
+    def l_coh(self) -> float:
+        """Transverse coherence length wavelength*z/(2a) at distance z from the source.
+
+        That is the mask plane of a mask, the detector plane behind tilted mirrors.
+        """
+        return self.wavelength * self.z / (2.0 * self.a)
+
+
+@dataclass(frozen=True)
+class SetupBasic(_Source):
     """Two-pinhole-per-arm geometry.
 
     a: source half-width, wavelength: center wavelength, z: source-to-mask
@@ -48,9 +75,6 @@ class SetupBasic:
     x1, x2 are the pinhole positions in arm C; x1p, x2p in arm T.
     """
 
-    a: float
-    wavelength: float
-    z: float
     f: float
     x1: float
     x2: float
@@ -58,9 +82,7 @@ class SetupBasic:
     x2p: float
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("wavelength", self.wavelength)
-        _require_positive("z", self.z)
+        super().__post_init__()
         _require_positive("f", self.f)
         extent = max(abs(self.x1), abs(self.x2), abs(self.x1p), abs(self.x2p), self.a)
         if extent > self.z / 10.0:
@@ -72,19 +94,9 @@ class SetupBasic:
             )
 
     @property
-    def omega(self) -> float:
-        """Angular frequency 2*pi*c/wavelength (rad/s)."""
-        return 2.0 * math.pi * C_LIGHT / self.wavelength
-
-    @property
     def h(self) -> float:
         """Reduced distance, 1/h = 1/z + 1/f."""
         return self.z * self.f / (self.z + self.f)
-
-    @property
-    def l_coh(self) -> float:
-        """Transverse coherence length wavelength*z/(2a) at the mask plane."""
-        return self.wavelength * self.z / (2.0 * self.a)
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ class SetupGate(SetupBasic):
 
 
 @dataclass(frozen=True)
-class SetupMZ:
+class SetupMZ(_Source):
     """Tilted-mirror interferometer geometry.
 
     zbar is the interferometer-to-detector distance, delta_c / delta_t the
@@ -105,17 +117,12 @@ class SetupMZ:
     source-to-detector distance.
     """
 
-    a: float
-    wavelength: float
-    z: float
     zbar: float
     delta_c: float
     delta_t: float
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("wavelength", self.wavelength)
-        _require_positive("z", self.z)
+        super().__post_init__()
         _require_positive("zbar", self.zbar)
         tilt = max(abs(self.delta_c), abs(self.delta_t))
         if tilt > 0.05:
@@ -125,15 +132,6 @@ class SetupMZ:
                 ParaxialWarning,
                 stacklevel=3,
             )
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * math.pi * C_LIGHT / self.wavelength
-
-    @property
-    def l_coh(self) -> float:
-        """Transverse coherence length wavelength*z/(2a) at the detector plane."""
-        return self.wavelength * self.z / (2.0 * self.a)
 
 
 _TAU = 2.0 * math.pi

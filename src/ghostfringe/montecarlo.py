@@ -158,7 +158,7 @@ def _kernel_factors(source: SourceModel, table: PathTable, detectors):
     weight times that factor times leg over the arm's two paths, so an entry
     is the leg indices and values of shape (columns, 2) with
     K[:, m] = L[:, leg[m]] @ value[m]. Weights with a leading settings axis
-    (see basis_table) at one position give one column per setting.
+    (see angle_table) at one position give one column per setting.
     """
     setup = table.setup
     points, values = [], []
@@ -551,12 +551,9 @@ def compare_patterns(analytic: CorrelationPattern, mc: CorrelationPattern) -> di
         stderr = np.asarray(mc.stderr, dtype=float)
         if b_peak > 0:
             stderr = stderr / b_peak
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                stderr > 0.0,
-                np.abs(diff) / np.where(stderr > 0.0, stderr, 1.0),
-                np.where(np.abs(diff) > 0.0, np.inf, 0.0),
-            )
+        ratios = np.divide(
+            np.abs(diff), stderr, out=np.where(diff != 0.0, np.inf, 0.0), where=stderr > 0.0
+        )
         max_sigma_dev = float(ratios.max())
     return {"nrmse": nrmse, "pearson": pearson, "max_sigma_dev": max_sigma_dev}
 

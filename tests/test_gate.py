@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe.analytic import (
     PathTable,
+    angle_table,
     closed_form,
     condition_margins,
     path_table,
@@ -122,13 +123,41 @@ def test_basis_angles_mapping():
     assert basis_angles("VH") == (math.pi / 2.0, 0.0)
 
 
+# Basis angles, where the weights reach their zeros and signs, or anywhere.
+setting_angle = st.sampled_from([0.0, math.pi / 2.0, math.pi]) | angle
+gate_angles = st.builds(GateAngles, setting_angle, setting_angle, setting_angle, setting_angle)
+
+
+def plate_analyzer_weights(setup, angle_settings) -> np.ndarray:
+    """Each setting's path weights, written out; second paths change sign behind tilted mirrors."""
+    sign = -1.0 if isinstance(setup, SetupMZ) else 1.0
+    return np.array([
+        [[math.cos(a.theta_c) * math.cos(a.phi_c),
+          sign * (math.sin(a.theta_c) * math.sin(a.phi_c))],
+         [math.cos(a.theta_t - a.phi_t), sign * math.sin(a.theta_t + a.phi_t)]]
+        for a in angle_settings
+    ])
+
+
+def assert_same_bits(actual, expected):
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
 @pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
-def test_basis_table_stacks_the_path_tables_of_the_basis_settings(setup):
-    """basis_table writes out path_table's weights at each basis setting, bit for bit."""
-    stacked = np.array([path_table(setup, angles).coefficients for angles in basis_settings()])
-    weights = basis_table(setup).coefficients
-    assert np.array_equal(weights, stacked)
-    assert np.array_equal(np.signbit(weights), np.signbit(stacked))
+@given(angle_settings=st.lists(gate_angles, min_size=1, max_size=8))
+@example(angle_settings=basis_settings())
+def test_basis_table_stacks_the_path_tables_of_the_basis_settings(setup, angle_settings):
+    """angle_table stacks the written-out weights formula bit for bit, at any settings.
+
+    path_table is its one-setting case and basis_table its basis-settings case.
+    """
+    expected = plate_analyzer_weights(setup, angle_settings)
+    assert_same_bits(angle_table(setup, angle_settings).coefficients, expected)
+    for angles, weights in zip(angle_settings, expected):
+        assert_same_bits(path_table(setup, angles).coefficients, weights)
+    basis_weights = plate_analyzer_weights(setup, basis_settings())
+    assert_same_bits(basis_table(setup).coefficients, basis_weights)
 
 
 def test_ideal_cnot_is_permutation():

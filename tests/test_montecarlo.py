@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
-from ghostfringe.analytic import CorrelationPattern, PathTable, path_table
+from ghostfringe.analytic import CorrelationPattern, PathTable, angle_table, path_table
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
     Realization,
@@ -359,6 +359,8 @@ def test_angles_required_for_polarized_setups_only():
         path_table(gate_setup())
     with pytest.raises(ValueError, match="unpolarized"):
         path_table(basic_setup(), QUARTER_ANGLES)
+    with pytest.raises(ValueError, match="unpolarized"):
+        angle_table(basic_setup(), [QUARTER_ANGLES])
 
 
 def test_analyzer_projection_combines_hv_components():
@@ -1086,6 +1088,12 @@ def test_compare_identical_patterns():
     assert metrics["nrmse"] == 0.0
     assert metrics["pearson"] == pytest.approx(1.0)
     assert metrics["max_sigma_dev"] == 0.0
+    # A zero stderr under a nonzero deviation is infinitely many sigma away.
+    shifted = CorrelationPattern(
+        grid=grid, values=np.array([1.0, 2.0, 4.0, 2.0, 2.0]), mode="monte-carlo",
+        stderr=np.zeros(5),
+    )
+    assert compare_patterns(analytic, shifted)["max_sigma_dev"] == math.inf
 
 
 def test_compare_scale_invariance():
