@@ -21,6 +21,7 @@ from .analytic import (
     Violation,
     b_phase,
     condition_margins,
+    envelope_power,
     fringe_period_xc,
     g1_pair,
     phase_phi_basic,
@@ -30,7 +31,6 @@ from .gate import (
     TruthTable,
     dn_corr_gate,
     dn_corr_mz,
-    envelope_power,
     ideal_cnot_table,
     mz_phase,
     p_cnot,
@@ -43,7 +43,6 @@ from .montecarlo import (
     estimate_dn_corr,
     estimate_mean_intensity,
     estimate_truth_table,
-    field_at_detector,
     free_field,
     sample_realization,
 )

@@ -494,16 +494,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"pearson: {metrics['pearson']:.6g}")
     print(f"pearson_corrected: {corrected:.6g}")
     print(f"max_sigma_dev: {metrics['max_sigma_dev']:.6g}")
-    sigma_ok = metrics["max_sigma_dev"] <= 4.0
+    failed = []
+    if not metrics["max_sigma_dev"] <= 4.0:
+        failed.append(f"max_sigma_dev {metrics['max_sigma_dev']:.6g} > 4")
     # compare_patterns gives no Pearson correlation when a pattern is flat.
-    flat = math.isnan(metrics["pearson"])
-    pearson_ok = flat or corrected >= 0.99
-    if flat:
+    if math.isnan(metrics["pearson"]):
         print("pattern is flat; pearson criterion skipped")
-    passed = sigma_ok and pearson_ok
-    print("PASS" if passed else "FAIL")
+    elif not corrected >= 0.99:
+        failed.append(f"pearson_corrected {corrected:.6g} < 0.99")
+    print("FAIL: " + "; ".join(failed) if failed else "PASS")
     status = _report_problems(report.problems, args.strict_conditions)
-    return status if passed else 1
+    return 1 if failed else status
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:

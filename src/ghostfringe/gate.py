@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GateAngles, SetupGate, SetupMZ
-from .analytic import PathTable, angle_table, closed_form, envelope_power, mz_phase, path_table
+from .analytic import PathTable, angle_table, closed_form, mz_phase, path_table
 
 # Basis convention: H is logical 0 at angle 0, V is logical 1 at pi/2.
 BASIS_ANGLES = {"H": 0.0, "V": math.pi / 2.0}
@@ -103,20 +103,14 @@ def basis_angles(label: str) -> tuple[float, float]:
     return BASIS_ANGLES[label[0]], BASIS_ANGLES[label[1]]
 
 
-def basis_settings() -> list[GateAngles]:
-    """The 16 (input, output) basis settings, row-major over BASIS_LABELS.
-
-    The input label sets the preparation angles (phi_c, phi_t), the output
-    label the analyzer angles (theta_c, theta_t).
-    """
-    return [
-        GateAngles(*basis_angles(input_label), *basis_angles(output_label))
-        for input_label in BASIS_LABELS
-        for output_label in BASIS_LABELS
-    ]
-
-
-_BASIS_SETTINGS = tuple(basis_settings())
+# The 16 (input, output) basis settings, row-major over BASIS_LABELS: the
+# input label sets the preparation angles (phi_c, phi_t), the output label the
+# analyzer angles (theta_c, theta_t).
+_BASIS_SETTINGS = tuple(
+    GateAngles(*basis_angles(input_label), *basis_angles(output_label))
+    for input_label in BASIS_LABELS
+    for output_label in BASIS_LABELS
+)
 
 
 def ideal_cnot_table() -> np.ndarray:
@@ -139,11 +133,9 @@ __all__ = [
     "BASIS_LABELS",
     "TruthTable",
     "basis_angles",
-    "basis_settings",
     "basis_table",
     "dn_corr_gate",
     "dn_corr_mz",
-    "envelope_power",
     "ideal_cnot_table",
     "mz_phase",
     "p_cnot",

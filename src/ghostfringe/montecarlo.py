@@ -38,8 +38,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
-from .analytic import CorrelationPattern, PathTable, path_table
-from .gate import TruthTable, basis_table, envelope_power
+from .analytic import CorrelationPattern, PathTable, envelope_power, path_table
+from .gate import TruthTable, basis_table
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -147,18 +147,27 @@ def _paraxial(wavelength: float, distance: float, x_from, x_to):
     return np.exp(1j * k / (2.0 * distance) * (x_from - x_to) ** 2)
 
 
-def _kernel_factors(source: SourceModel, table: PathTable, detectors):
-    """Distinct source legs L and, per (arm, positions) entry, each column's (leg, value) pairs.
+def _path_basis(source: SourceModel, table: PathTable, detectors):
+    """Orthonormal basis Q of the paths' source legs and each (arm, positions) entry's kernel in Q.
 
     A path leaves the source along a leg, the paraxial propagator over z from
     each emitter to a point: its pinhole on a mask, the shifted detector
     position x_d + offset behind tilted mirrors; a mask path then carries the
     pinhole -> detector propagator over f. Column m of an arm's propagation
     matrix K, whose product with emitter amplitudes is the arm field, sums
-    weight times that factor times leg over the arm's two paths, so an entry
-    is the leg indices and values of shape (columns, 2) with
-    K[:, m] = L[:, leg[m]] @ value[m]. Weights with a leading settings axis
-    (see angle_table) at one position give one column per setting.
+    weight times that factor times leg over the arm's two paths:
+    K[:, m] = L[:, leg[m]] @ value[m] over the distinct legs L, with leg
+    indices and values of shape (columns, 2). Weights with a leading settings
+    axis (see angle_table) at one position give one column per setting.
+
+    Every kernel column thus lies in the span of L, so with L = QR, a @ K[:, m]
+    equals (a @ Q) @ (R[:, leg[m]] @ value[m]), and a @ Q of i.i.d. circular
+    Gaussian emitter amplitudes is again i.i.d. circular Gaussian with the
+    same mean photon number: the ensemble draws a @ Q directly, one
+    amplitude per column of Q. A mask has at most four legs, one per
+    pinhole, whatever the weights or positions. Behind tilted mirrors the
+    legs follow the detector positions; with more legs than emitters Q is
+    square and unitary, which changes nothing in the distribution.
     """
     setup = table.setup
     points, values = [], []
@@ -178,35 +187,11 @@ def _kernel_factors(source: SourceModel, table: PathTable, detectors):
     leg_points, inverse = np.unique(np.concatenate(points), return_inverse=True)
     legs = _paraxial(setup.wavelength, setup.z, source.positions[:, None], leg_points)
     indices = np.split(inverse, np.cumsum([p.size for p in points])[:-1])
-    return legs, [(leg.reshape(value.shape), value) for leg, value in zip(indices, values)]
-
-
-def _path_basis(source: SourceModel, table: PathTable, detectors):
-    """Orthonormal basis Q of the paths' source legs and each entry's kernel in it.
-
-    Every kernel column lies in the span of the distinct source legs L
-    (_kernel_factors), so with L = QR, a @ K[:, m] equals
-    (a @ Q) @ (R[:, leg[m]] @ value[m]), and a @ Q of i.i.d. circular
-    Gaussian emitter amplitudes is again i.i.d. circular Gaussian with the
-    same mean photon number: the ensemble draws a @ Q directly, one
-    amplitude per column of Q. A mask has at most four legs, one per
-    pinhole, whatever the weights or positions. Behind tilted mirrors the
-    legs follow the detector positions; with more legs than emitters Q is
-    square and unitary, which changes nothing in the distribution.
-    """
-    legs, entries = _kernel_factors(source, table, detectors)
     basis, triangle = np.linalg.qr(legs)
-    return basis, [(triangle[:, leg] * value).sum(-1) for leg, value in entries]
-
-
-def field_at_detector(realization: Realization, table: PathTable, arm: str, x_d: float) -> complex:
-    """Scalar analyzer-projected field of a path table's arm at detector position x_d.
-
-    The table (path_table) carries the setup and its weights at one setting;
-    a path whose weights are zero is closed.
-    """
-    legs, ((leg, value),) = _kernel_factors(realization.source, table, [(arm, [x_d])])
-    return complex(realization.amplitudes @ legs[:, leg[0]] @ value[0])
+    return basis, [
+        (triangle[:, leg.reshape(value.shape)] * value).sum(-1)
+        for leg, value in zip(indices, values)
+    ]
 
 
 def free_field(realization: Realization, setup, x_d: float) -> complex:
@@ -568,7 +553,6 @@ __all__ = [
     "estimate_dn_corr",
     "estimate_mean_intensity",
     "estimate_truth_table",
-    "field_at_detector",
     "free_field",
     "sample_realization",
 ]

@@ -881,13 +881,16 @@ def test_verify_skips_pearson_on_flat_pattern(tmp_path, capsys):
 
 
 def test_verify_fails_on_disagreement(tmp_path, capsys, monkeypatch):
+    """The FAIL line names each failed criterion with its value and threshold."""
     config = write_config(tmp_path, BASIC_SETUP + SCAN_SMALL + MC_SMALL)
-    monkeypatch.setattr(
-        "ghostfringe.cli.compare_patterns",
-        lambda *args, **kwargs: {"nrmse": 0.5, "pearson": 0.2, "max_sigma_dev": 25.0},
-    )
-    assert main(["verify", "--config", config]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    sigma, pearson = r"max_sigma_dev 25 > 4", r"pearson_corrected 0\.2\d* < 0\.99"
+    cases = [(0.9999, 25.0, [sigma]), (0.2, 1.0, [pearson]), (0.2, 25.0, [sigma, pearson])]
+    for raw_pearson, max_sigma_dev, reasons in cases:
+        metrics = {"nrmse": 0.5, "pearson": raw_pearson, "max_sigma_dev": max_sigma_dev}
+        monkeypatch.setattr("ghostfringe.cli.compare_patterns", lambda *a, m=metrics, **k: m)
+        assert main(["verify", "--config", config]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch("FAIL: " + "; ".join(reasons), last), last
 
 
 def test_verify_rarely_fails_a_consistent_model(tmp_path, capsys):

@@ -13,6 +13,7 @@ from ghostfringe.analytic import (
     angle_table,
     closed_form,
     condition_margins,
+    envelope_power,
     path_table,
     phase_phi_basic,
 )
@@ -20,11 +21,9 @@ from ghostfringe.gate import (
     BASIS_LABELS,
     TruthTable,
     basis_angles,
-    basis_settings,
     basis_table,
     dn_corr_gate,
     dn_corr_mz,
-    envelope_power,
     ideal_cnot_table,
     mz_phase,
     p_cnot,
@@ -36,6 +35,13 @@ from ghostfringe.patterns import evaluate_pattern, make_grid
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 phase = st.floats(min_value=-10.0, max_value=10.0)
 detector = st.floats(min_value=-1e-3, max_value=1e-3)
+
+# The 16 (input, output) basis settings, row-major over BASIS_LABELS.
+BASIS_SETTINGS = [
+    GateAngles(*basis_angles(input_label), *basis_angles(output_label))
+    for input_label in BASIS_LABELS
+    for output_label in BASIS_LABELS
+]
 
 
 def gate_setup(ratio: float = 20.0) -> SetupGate:
@@ -146,7 +152,7 @@ def assert_same_bits(actual, expected):
 
 @pytest.mark.parametrize("setup", [gate_setup(), mz_setup()], ids=["gate", "mz"])
 @given(angle_settings=st.lists(gate_angles, min_size=1, max_size=8))
-@example(angle_settings=basis_settings())
+@example(angle_settings=BASIS_SETTINGS)
 def test_basis_table_stacks_the_path_tables_of_the_basis_settings(setup, angle_settings):
     """angle_table stacks the written-out weights formula bit for bit, at any settings.
 
@@ -156,7 +162,7 @@ def test_basis_table_stacks_the_path_tables_of_the_basis_settings(setup, angle_s
     assert_same_bits(angle_table(setup, angle_settings).coefficients, expected)
     for angles, weights in zip(angle_settings, expected):
         assert_same_bits(path_table(setup, angles).coefficients, weights)
-    basis_weights = plate_analyzer_weights(setup, basis_settings())
+    basis_weights = plate_analyzer_weights(setup, BASIS_SETTINGS)
     assert_same_bits(basis_table(setup).coefficients, basis_weights)
 
 
@@ -178,7 +184,7 @@ def test_cnot_truth_table_matches_ideal():
 
 
 def test_truth_table_rows_are_normalized():
-    values = np.reshape([p_controlled_u(angles, 0.9) for angles in basis_settings()], (4, 4))
+    values = np.reshape([p_controlled_u(angles, 0.9) for angles in BASIS_SETTINGS], (4, 4))
     assert np.allclose(values.sum(axis=1), 1.0, atol=1e-12)
 
 

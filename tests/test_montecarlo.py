@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostfringe import montecarlo
-from ghostfringe.analytic import CorrelationPattern, PathTable, angle_table, path_table
+from ghostfringe.analytic import (
+    CorrelationPattern, PathTable, angle_table, envelope_power, path_table,
+)
 from ghostfringe.geometry import GateAngles, SetupBasic, SetupGate, SetupMZ
 from ghostfringe.montecarlo import (
     Realization,
@@ -18,12 +20,11 @@ from ghostfringe.montecarlo import (
     estimate_dn_corr,
     estimate_mean_intensity,
     estimate_truth_table,
-    field_at_detector,
     free_field,
     sample_realization,
 )
 from ghostfringe.gate import (
-    BASIS_LABELS, TruthTable, basis_settings, basis_table, envelope_power, ideal_cnot_table,
+    BASIS_LABELS, TruthTable, basis_angles, basis_table, ideal_cnot_table,
 )
 from ghostfringe.patterns import evaluate_pattern, make_grid
 
@@ -52,6 +53,13 @@ def mz_setup() -> SetupMZ:
 
 QUARTER = math.pi / 4.0
 QUARTER_ANGLES = GateAngles(QUARTER, QUARTER, QUARTER, QUARTER)
+
+# The 16 (input, output) basis settings, row-major over BASIS_LABELS.
+BASIS_SETTINGS = [
+    GateAngles(*basis_angles(input_label), *basis_angles(output_label))
+    for input_label in BASIS_LABELS
+    for output_label in BASIS_LABELS
+]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +304,12 @@ def test_free_field_kernel_is_cached_per_setup_source_and_position():
         cached[0] = 0.0
 
 
+def _basis_field(realization, table, arm, x_d):
+    """The package's field of one arm at x_d: amplitudes @ Q @ kernel, both from _path_basis."""
+    basis, (kernel,) = montecarlo._path_basis(realization.source, table, [(arm, [x_d])])
+    return complex((realization.amplitudes @ basis @ kernel)[0])
+
+
 def test_closing_a_pinhole_removes_its_position_dependence():
     source = SourceModel(a=0.5e-3, n_emitters=32)
     realization = sample_realization(source, seed=5, index=0)
@@ -305,20 +319,20 @@ def test_closing_a_pinhole_removes_its_position_dependence():
         x1=setup.x1, x2=setup.x2 + 1e-3, x1p=setup.x1p, x2p=setup.x2p,
     )
     only_first = np.ones((2, 2)) * [1, 0]
-    assert field_at_detector(realization, PathTable(setup, only_first), "C", 1e-5) == (
-        field_at_detector(realization, PathTable(moved, only_first), "C", 1e-5)
+    assert _basis_field(realization, PathTable(setup, only_first), "C", 1e-5) == (
+        _basis_field(realization, PathTable(moved, only_first), "C", 1e-5)
     )
-    both = field_at_detector(realization, path_table(setup), "C", 1e-5)
-    assert both != field_at_detector(realization, path_table(moved), "C", 1e-5)
+    both = _basis_field(realization, path_table(setup), "C", 1e-5)
+    assert both != _basis_field(realization, path_table(moved), "C", 1e-5)
 
 
 def test_field_is_sum_of_single_path_fields():
     source = SourceModel(a=0.5e-3, n_emitters=32)
     realization = sample_realization(source, seed=9, index=1)
     setup = basic_setup()
-    total = field_at_detector(realization, path_table(setup), "T", -2e-5)
+    total = _basis_field(realization, path_table(setup), "T", -2e-5)
     first, second = (
-        field_at_detector(realization, PathTable(setup, np.ones((2, 2)) * mask), "T", -2e-5)
+        _basis_field(realization, PathTable(setup, np.ones((2, 2)) * mask), "T", -2e-5)
         for mask in ([1, 0], [0, 1])
     )
     assert total == pytest.approx(first + second, rel=1e-12)
@@ -345,11 +359,11 @@ def test_single_path_field_is_its_propagators():
                                  ("T", (mask.x1p, mask.x2p), mz.delta_t)):
         for path, (p, shift) in enumerate(zip(pinholes, (2.0 * mz.zbar * delta, 0.0))):
             one_path = np.eye(2)[[path, path]]
-            field = field_at_detector(realization, PathTable(mask, one_path), arm, x_d)
+            field = _basis_field(realization, PathTable(mask, one_path), arm, x_d)
             want = a @ (np.exp(1j * k * (e - p) ** 2 / (2.0 * mask.z))
                         * np.exp(1j * k * (p - x_d) ** 2 / (2.0 * mask.f)))
             assert field == pytest.approx(want, rel=1e-12)
-            field = field_at_detector(realization, PathTable(mz, one_path), arm, x_d)
+            field = _basis_field(realization, PathTable(mz, one_path), arm, x_d)
             want = a @ np.exp(1j * k * (e - x_d - shift) ** 2 / (2.0 * mz.z))
             assert field == pytest.approx(want, rel=1e-12)
 
@@ -369,13 +383,13 @@ def test_analyzer_projection_combines_hv_components():
     setup = gate_setup()
     angles = GateAngles(0.3, 0.8, 0.55, 1.1)
     e_h, e_v = (
-        field_at_detector(
+        _basis_field(
             realization, path_table(setup, GateAngles(angles.phi_c, angles.phi_t, theta, theta)),
             "C", 1e-5,
         )
         for theta in (0.0, math.pi / 2.0)
     )
-    projected = field_at_detector(realization, path_table(setup, angles), "C", 1e-5)
+    projected = _basis_field(realization, path_table(setup, angles), "C", 1e-5)
     want = math.cos(angles.theta_c) * e_h + math.sin(angles.theta_c) * e_v
     assert projected == pytest.approx(want, rel=1e-10)
 
@@ -399,13 +413,15 @@ def test_intensity_covariance_factorizes_into_field_correlation():
     setup = basic_setup()
     source = SourceModel(a=0.5e-3, n_emitters=64)
     table = path_table(setup)
+    kernel_c = _direct_kernel(source, table, "C", 0.0)[:, 0]
+    kernel_t = _direct_kernel(source, table, "T", 1.2e-5)[:, 0]
     n = 3000
     e_c = np.empty(n, dtype=complex)
     e_t = np.empty(n, dtype=complex)
     for k in range(n):
         realization = sample_realization(source, seed=13, index=k)
-        e_c[k] = field_at_detector(realization, table, "C", 0.0)
-        e_t[k] = field_at_detector(realization, table, "T", 1.2e-5)
+        e_c[k] = realization.amplitudes @ kernel_c
+        e_t[k] = realization.amplitudes @ kernel_t
     i_c = np.abs(e_c) ** 2
     i_t = np.abs(e_t) ** 2
     cov = np.mean(i_c * i_t) - i_c.mean() * i_t.mean()
@@ -543,8 +559,9 @@ def test_mean_intensity_matches_per_realization_loop(setup):
     )
     source = SourceModel(a=setup.a, n_emitters=64)
     table = path_table(setup, QUARTER_ANGLES)
+    kernel = _direct_kernel(source, table, "T", xs)
     intensities = np.array([
-        [abs(field_at_detector(r, table, "T", x)) ** 2 for x in xs]
+        np.abs(r.amplitudes @ kernel) ** 2
         for r in _ensemble_realizations(source, table, [("T", xs)], 6, n)
     ])
     np.testing.assert_allclose(mean, intensities.mean(axis=0), rtol=1e-12)
@@ -704,9 +721,9 @@ def test_truth_table_draws_each_realization_once(monkeypatch):
 def test_truth_table_matches_per_setting_loop(setup):
     """Each entry is its own setting's covariance over the same draws, scaled by the table max.
 
-    The reference loops over settings and realizations with the public field
-    function, as 16 single-setting passes would; estimate_dn_corr cannot serve
-    here because it refuses a single point whose covariance is not positive.
+    The reference loops over settings with the emitter-level kernels of
+    _direct_kernel, as 16 single-setting passes would; estimate_dn_corr cannot
+    serve here because it refuses a single point whose covariance is not positive.
     """
     n, n_batches = 300, montecarlo.N_BATCHES
     table = estimate_truth_table(setup, 0.0, 0.0, n_realizations=n, seed=31, n_emitters=64)
@@ -714,14 +731,13 @@ def test_truth_table_matches_per_setting_loop(setup):
     realizations = _ensemble_realizations(
         source, basis_table(setup), [("C", [0.0]), ("T", [0.0])], 31, n
     )
+    amplitudes = np.array([r.amplitudes for r in realizations])
     raw, batch_err = [], []
-    for angles in basis_settings():
+    for angles in BASIS_SETTINGS:
         setting = path_table(setup, angles)
         i_c, i_t = (
-            np.array([
-                abs(field_at_detector(r, setting, arm, 0.0)) ** 2
-                for r in realizations
-            ]).reshape(n_batches, -1)
+            (np.abs(amplitudes @ _direct_kernel(source, setting, arm, 0.0)) ** 2)
+            .reshape(n_batches, -1)
             for arm in ("C", "T")
         )
         raw.append(np.mean(i_c * i_t) - i_c.mean() * i_t.mean())
