@@ -141,7 +141,6 @@ class PathTable:
 def angle_table(
     setup: SetupGate | SetupMZ,
     settings: GateAngles | Sequence[GateAngles],
-    mask_quad_scale: float = 1.0,
 ) -> PathTable:
     """The path table of a polarized setup, SetupGate or SetupMZ, at GateAngles settings.
 
@@ -159,15 +158,13 @@ def angle_table(
                  sign * (math.sin(a.theta_c) * math.sin(a.phi_c))],
                 [math.cos(a.theta_t - a.phi_t), sign * math.sin(a.theta_t + a.phi_t)]]
 
-    if isinstance(settings, GateAngles):
-        return PathTable(setup, np.array(weights(settings)), mask_quad_scale)
-    return PathTable(setup, np.array([weights(a) for a in settings]), mask_quad_scale)
+    one = isinstance(settings, GateAngles)
+    return PathTable(setup, np.array(weights(settings) if one else [weights(a) for a in settings]))
 
 
 def path_table(
     setup: SetupBasic | SetupGate | SetupMZ,
     angles: GateAngles | None = None,
-    mask_quad_scale: float = 1.0,
 ) -> PathTable:
     """The path table of a setup at one preparation-analyzer setting.
 
@@ -175,12 +172,12 @@ def path_table(
     weights from angle_table; SetupBasic refuses angles and has unit weights.
     """
     if angles is not None:
-        return angle_table(setup, angles, mask_quad_scale)
+        return angle_table(setup, angles)
     if isinstance(setup, (SetupGate, SetupMZ)):
         raise ValueError(
             f"{type(setup).__name__} is polarized: preparation and analyzer angles are required"
         )
-    return PathTable(setup, mask_quad_scale=mask_quad_scale)
+    return PathTable(setup)
 
 
 def _envelope_power(envelopes: np.ndarray):

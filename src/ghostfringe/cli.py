@@ -39,6 +39,7 @@ from .geometry import ConditionWarning, GateAngles, SetupBasic, SetupGate, Setup
 from .montecarlo import (
     MIN_EMITTERS,
     MIN_REALIZATIONS,
+    SourceModel,
     check_ensemble_size,
     compare_patterns,
     estimate_dn_corr,
@@ -49,6 +50,7 @@ from .patterns import SCAN_AXES, evaluate_pattern, make_grid
 MODES = ("exact", "asymptotic", "mc", "all")
 
 _SETUP_CLASSES = {"basic": SetupBasic, "gate": SetupGate, "mz": SetupMZ}
+_SETUP_KINDS = {cls: kind for kind, cls in _SETUP_CLASSES.items()}
 # The one field whose file key is not its name.
 _FILE_KEYS = {"wavelength": "lambda"}
 # Arm T's pinholes sit where arm C's do unless the file places them.
@@ -68,7 +70,6 @@ def _option(section: str, default, choices: tuple[str, ...] = ()):
 class ExperimentConfig:
     """Fully validated run description, the in-memory form of a config file."""
 
-    kind: str
     setup: SetupBasic | SetupGate | SetupMZ
     angles: GateAngles | None
     axis: str = _option("scan", "diagonal", SCAN_AXES)
@@ -78,17 +79,17 @@ class ExperimentConfig:
     detector_x: float = _option("scan", 0.0)
     mode: str = _option("run", "exact", MODES)
     n_realizations: int = _option("mc", 10000)
-    n_emitters: int = _option("mc", 256)
+    n_emitters: int = _option("mc", SourceModel.n_emitters)
     seed: int = _option("mc", 0)
 
     def preamble_items(self) -> list[tuple[str, object]]:
         """Canonical (key, value) pairs capturing the whole configuration.
 
-        `kind`, then the fields of the setup, of the angles when there are
-        any, and the scan, run and mc fields, each in field order.
+        `kind`, the name of the setup's class, then the fields of the setup, of
+        the angles if any, and the scan, run and mc fields, each in field order.
         """
         parts = (self.setup, self.angles) if self.angles is not None else (self.setup,)
-        items: list[tuple[str, object]] = [("kind", self.kind)]
+        items: list[tuple[str, object]] = [("kind", _SETUP_KINDS[type(self.setup)])]
         items += [(_FILE_KEYS.get(f.name, f.name), getattr(part, f.name))
                   for part in parts for f in fields(part)]
         return items + [(f.name, getattr(self, f.name)) for f in _OPTIONS]
@@ -237,7 +238,7 @@ def parse_config(path) -> ExperimentConfig:
         check_ensemble_size(options["n_realizations"], options["n_emitters"])
     except ValueError as exc:
         raise ConfigError(f"[mc] {exc}") from exc
-    return ExperimentConfig(kind=kind, setup=setup, angles=angles, **options)
+    return ExperimentConfig(setup=setup, angles=angles, **options)
 
 
 def conditions_report(config: ExperimentConfig, grid: np.ndarray):

@@ -444,7 +444,7 @@ def estimate_dn_corr(
     n_realizations: int,
     seed: int,
     angles: GateAngles | None = None,
-    n_emitters: int = 256,
+    n_emitters: int = SourceModel.n_emitters,
 ) -> CorrelationPattern:
     """Ensemble estimate of the fluctuation correlation over a (N, 2) grid.
 
@@ -470,7 +470,7 @@ def estimate_mean_intensity(
     n_realizations: int,
     seed: int,
     angles: GateAngles | None = None,
-    n_emitters: int = 256,
+    n_emitters: int = SourceModel.n_emitters,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-detector mean intensity over a position scan, with its stderr.
 
@@ -492,7 +492,7 @@ def estimate_truth_table(
     x_t: float,
     n_realizations: int,
     seed: int,
-    n_emitters: int = 256,
+    n_emitters: int = SourceModel.n_emitters,
 ) -> TruthTable:
     """Monte-Carlo joint-probability table over the 16 basis combinations.
 

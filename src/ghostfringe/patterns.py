@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analytic import CorrelationPattern, closed_form, path_table
@@ -46,7 +48,7 @@ def evaluate_pattern(
     SetupMZ need GateAngles; SetupBasic takes none.
     """
     grid = np.asarray(grid, dtype=float)
-    table = path_table(setup, angles, mask_quad_scale)
+    table = replace(path_table(setup, angles), mask_quad_scale=mask_quad_scale)
     values = closed_form(table, grid[:, 0], grid[:, 1], mode)
     return CorrelationPattern(grid=grid, values=values, mode=mode)
 

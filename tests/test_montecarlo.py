@@ -752,11 +752,21 @@ def test_truth_table_matches_per_setting_loop(setup):
     )
 
 
-def test_truth_table_is_deterministic_across_threads():
-    first = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
-    second = estimate_truth_table(mz_setup(), 0.0, 0.0, n_realizations=300, seed=5, n_emitters=64)
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.stderr, second.stderr)
+def test_truth_table_is_deterministic_across_threads(tmp_path, cli_at_blas_threads):
+    """The gate's and the MZ's mc truth tables keep their bytes at 1 and at 2 BLAS threads.
+
+    The ensemble of the benchmark's truth-table workload, each run in its
+    own interpreter through the command line.
+    """
+    for kind, keys in (("gate", "f = 1.0\nx1 = -5e-3\nx2 = 5e-3\n"),
+                       ("mz", "zbar = 0.2\ndelta_c = 0.0125\ndelta_t = 0.0125\n")):
+        config = tmp_path / f"{kind}.ini"
+        config.write_text(f"[setup]\nkind = {kind}\na = 0.5e-3\nlambda = 500e-9\nz = 1.0\n"
+                          f"{keys}[mc]\nn_realizations = 5000\nseed = 3\n")
+        args = ("truth-table", "--config", str(config), "--mode", "mc")
+        one = cli_at_blas_threads(1, *args)
+        assert list(one) == ["truth_table_mc.csv", "truth_table_mc_stderr.csv"], kind
+        assert one == cli_at_blas_threads(2, *args), kind
 
 
 # ---------------------------------------------------------------------------
