@@ -6,8 +6,9 @@ D = round-half-even(|v| * 10**(16 - E)) less their trailing zeros: in fixed
 notation from E = -4 up, as d.ddde-05 or d.ddde-06 below. Each cell's layout
 (point, length, shift mask) is a table row picked by E and its count of
 significant digits. Every other cell (0, nan, inf, subnormals, |v| < 1e-6 or
->= 1e17) is formatted on its own with `%.17g`. The CLI imports this module
-for the first table whose blocks are long enough to use it.
+>= 1e17) is formatted on its own with `%.17g`. write_table writes a whole
+table in blocks; the CLI imports this module for the first table with enough
+cells to use it.
 """
 
 from __future__ import annotations
@@ -88,16 +89,20 @@ _GROUP_ROWS = (_DASHES * np.arange(6))[:, None]
 
 
 class Cells:
-    """Scratch arrays for format_block on row blocks of up to `rows` rows of one table.
+    """Scratch arrays for format_block on row blocks of up to `rows` rows of table.
 
-    first[j] is the first column whose bits equal column j's: each distinct
-    column is formatted once, and its slots are copied to every position.
+    Each distinct column of table is formatted once per block and its slots
+    are copied to every position that repeats it (x_T on a diagonal scan).
+    Columns repeat when their float64 bits are equal, not when they compare
+    `==`: -0.0 and 0.0 compare equal but print as `-0` and `0`.
     """
 
-    def __init__(self, rows: int, first: list[int]):
+    def __init__(self, rows: int, table: np.ndarray):
+        bits = table.view(np.uint64)
+        first = [next((i for i in range(j) if np.array_equal(bits[:, i], bits[:, j])), j)
+                 for j in range(table.shape[1])]
         self.unique = sorted(set(first))
         self.positions = [self.unique.index(j) for j in first]
-        self.repeats = self.positions != list(range(len(first)))
         k, cells = rows * len(self.unique), rows * len(first)
         parts = {
             "values": ((k,), np.float64), "floats": ((5, k), np.float64),
@@ -106,11 +111,9 @@ class Cells:
             "quad_chars": ((8, k + 1), np.uint32),
             "chars": ((k + 1, 8), np.uint32), "row_digits": ((6, k), np.uint8),
             "mask": ((k, _SLOT), np.uint8), "slots": ((k, _SLOT), np.uint8),
-            "keep": ((cells, _SLOT), bool),
+            "keep": ((cells, _SLOT), bool), "all_slots": ((cells, _SLOT), np.uint8),
+            "lengths": ((cells,), np.intp), "signs": ((cells,), bool),
         }
-        if self.repeats:
-            parts.update(all_slots=((cells, _SLOT), np.uint8), lengths=((cells,), np.intp),
-                         signs=((cells,), bool))
         # One allocation carved into every scratch array: freed whole after
         # its table, it stays in the heap for the next table instead of going
         # back to the OS, so writing it again does not fault its pages in anew.
@@ -122,8 +125,6 @@ class Cells:
         memory = np.empty(sum(sizes), dtype=np.uint8)
         for (name, (shape, dtype)), end, size in zip(parts.items(), np.cumsum(sizes), sizes):
             setattr(self, name, memory[end - size:end].view(dtype)[:math.prod(shape)].reshape(shape))
-        if not self.repeats:
-            self.all_slots = self.slots
         self.quad_chars[...] = _QUAD_CHARS[_DASHES]
         self.separators = np.tile(np.frombuffer(b"," * (len(first) - 1) + b"\n", np.uint8), rows)
         self.starts = np.arange(1, cells * _SLOT, _SLOT)
@@ -250,14 +251,13 @@ def format_block(block: np.ndarray, w: Cells) -> np.ndarray:
         sign[raw] = True
         length[raw] = raw_length - 1
 
-    if w.repeats:
-        shape = (n, -1, _SLOT // 8)
-        np.take(w.slots[:k].view(np.uint64).reshape(shape), w.positions, axis=1,
-                out=w.all_slots[:cells].view(np.uint64).reshape(shape), mode="clip")
-        length = np.take(length.reshape(n, -1), w.positions, axis=1,
-                         out=w.lengths[:cells].reshape(n, -1)).reshape(-1)
-        sign = np.take(sign.reshape(n, -1), w.positions, axis=1,
-                       out=w.signs[:cells].reshape(n, -1)).reshape(-1)
+    shape = (n, -1, _SLOT // 8)
+    np.take(w.slots[:k].view(np.uint64).reshape(shape), w.positions, axis=1,
+            out=w.all_slots[:cells].view(np.uint64).reshape(shape), mode="clip")
+    length = np.take(length.reshape(n, -1), w.positions, axis=1,
+                     out=w.lengths[:cells].reshape(n, -1)).reshape(-1)
+    sign = np.take(sign.reshape(n, -1), w.positions, axis=1,
+                   out=w.signs[:cells].reshape(n, -1)).reshape(-1)
     slots = w.all_slots[:cells].reshape(-1)
     slots[w.starts[:cells] + length] = w.separators[:cells]
     length *= 2
@@ -265,3 +265,19 @@ def format_block(block: np.ndarray, w: Cells) -> np.ndarray:
     keep = w.keep[:cells]
     np.take(_KEEP.view(np.uint64), length, axis=0, out=keep.view(np.uint64), mode="clip")
     return slots[keep.reshape(-1)]
+
+
+# Most rows per block, in blocks of equal size: enough that the per-call costs
+# of `%` and numpy vanish, few enough that a block's scratch arrays (about
+# 1 kB a row for an x, x, value scan) stay small however long the table. An
+# 8001-row scan wrote fastest in three blocks, not four of 2001 or two of 4001.
+_ROWS_PER_BLOCK = 3000
+
+
+def write_table(fh, table: np.ndarray) -> None:
+    """Write the rows of the 2-D float64 table to the binary file fh as CSV, every cell `%.17g`."""
+    blocks = -(-len(table) // _ROWS_PER_BLOCK)
+    rows = -(-len(table) // blocks)
+    cells = Cells(rows, table)
+    for start in range(0, len(table), rows):
+        fh.write(format_block(table[start:start + rows], cells))

@@ -319,22 +319,17 @@ def _preamble(config: ExperimentConfig) -> list[str]:
             for key, value in config.preamble_items()]
 
 
-# Most rows per block, in blocks of equal size: enough that the per-call costs
-# of `%` and numpy vanish, few enough that a block's scratch arrays (about
-# 1 kB a row for an x, x, value scan) stay small however long the table. An
-# 8001-row scan wrote fastest in three blocks, not four of 2001 or two of 4001.
-_ROWS_PER_BLOCK = 3000
-# Blocks of fewer cells take `%` per cell (_format_rows): the numpy kernel's
+# Tables of fewer cells take `%` per cell (_format_rows): the numpy kernel's
 # fixed cost, some hundred numpy calls, outweighs what it saves below this.
 # Measured on 3 and 4 columns, both took about 0.25 ms at 384 cells; at 768
 # the kernel took 0.35 ms and `%` 0.5 to 0.65 ms.
 _KERNEL_MIN_CELLS = 400
 
 
-def _format_rows(block: np.ndarray, labels=None) -> str:
-    """The rows of block as CSV text from one `%` call, every cell `%.17g` on its own."""
-    cells = ["%.17g"] * block.shape[1]
-    rows = block.tolist()
+def _format_rows(table: np.ndarray, labels=None) -> str:
+    """The rows of table as CSV text from one `%` call, every cell `%.17g` on its own."""
+    cells = ["%.17g"] * table.shape[1]
+    rows = table.tolist()
     if labels is not None:
         cells = ["%s", *cells]
         rows = [[label, *row] for label, row in zip(labels, rows)]
@@ -345,41 +340,22 @@ def _write_csv(path: Path, head: list[str], table, labels=None) -> None:
     """Write the head lines, then one row per row of the 2-D float table.
 
     Every cell reads as format(v, ".17g"), 17 significant digits, which
-    round-trips any double exactly. A table whose blocks have
-    _KERNEL_MIN_CELLS cells or more goes through the numpy kernel in _g17,
-    imported then, which writes those bytes itself for 1e-6 <= |v| < 1e17
-    and formats every other cell on its own; other tables, and tables with
-    labels, take one `%` call per block (_format_rows). labels, when given,
-    lead each row as a string.
-
-    On the kernel path, a column whose float64 bits equal an earlier column's
-    (x_T on a diagonal scan) is formatted once per block and copied to every
-    position that repeats it. The test is on bits, not `==`: -0.0 and 0.0
-    compare equal but print as `-0` and `0`, so only bit equality keeps every
-    output byte.
+    round-trips any double exactly. A table of _KERNEL_MIN_CELLS cells or
+    more goes through the numpy kernel's _g17.write_table, imported then;
+    other tables, and tables with labels, take one `%` call (_format_rows).
+    labels, when given, lead each row as a string.
     """
     table = np.asarray(table, dtype=float)
-    blocks = max(1, -(-len(table) // _ROWS_PER_BLOCK))
-    rows = max(1, -(-len(table) // blocks))
-    kernel = labels is None and rows * table.shape[1] >= _KERNEL_MIN_CELLS
-    if kernel:
-        from . import _g17
-        bits = table.view(np.uint64)
-        first = [next((i for i in range(j) if np.array_equal(bits[:, i], bits[:, j])), j)
-                 for j in range(table.shape[1])]
-        cells = _g17.Cells(rows, first)
     # A new file, not the old one truncated: rewriting an inode in place costs
     # more than unlinking it, and a hard link to the old output keeps its bytes.
     path.unlink(missing_ok=True)
     with path.open("wb") as fh:
         fh.write(("\n".join(head) + "\n").encode())
-        for start in range(0, len(table), rows):
-            block = table[start:start + rows]
-            if kernel:
-                fh.write(_g17.format_block(block, cells))
-            else:
-                lead = None if labels is None else labels[start:start + len(block)]
-                fh.write(_format_rows(block, lead).encode())
+        if labels is None and table.size >= _KERNEL_MIN_CELLS:
+            from . import _g17
+            _g17.write_table(fh, table)
+        else:
+            fh.write(_format_rows(table, labels).encode())
 
 
 def emit(report: RunReport, out_dir) -> list[Path]:

@@ -440,11 +440,12 @@ def test_emit_matches_per_cell_formatting(tmp_path):
 def repeated_column_grid(case):
     """Grids whose x_T column repeats x_C bit for bit, or all but the sign of zero."""
     if case == "signed-zero":
-        x_c = np.array([0.0, -0.0, 1e-5, 0.0, -0.0, -2e-5])
+        # Long enough for the %.17g kernel, which must not take x_T for a copy of x_C.
+        x_c = np.tile([0.0, -0.0, 1e-5, 0.0, -0.0, -2e-5], 100)
         x_t = x_c.copy()
         x_t[x_c == 0.0] *= -1.0
         return np.column_stack([x_c, x_t])
-    x = np.linspace(-2e-4, 2e-4, 2 * cli._ROWS_PER_BLOCK + 3 if case == "long" else 9)
+    x = np.linspace(-2e-4, 2e-4, 2 * _g17._ROWS_PER_BLOCK + 3 if case == "long" else 9)
     return np.column_stack([x, x])
 
 
@@ -474,7 +475,7 @@ def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
 def kernel_text(values, columns=1):
     """The numpy kernel's CSV text for values laid out in rows of `columns` cells."""
     block = np.asarray(values, dtype=float).reshape(-1, columns)
-    cells = _g17.Cells(len(block), list(range(columns)))
+    cells = _g17.Cells(len(block), block)
     return _g17.format_block(block, cells).tobytes().decode("ascii")
 
 
@@ -546,20 +547,22 @@ def test_kernel_matches_format_on_a_constant_column(value):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_write_csv_matches_format_one_row_either_side_of_a_block_edge(tmp_path, extra):
-    n = 2 * cli._ROWS_PER_BLOCK + extra
+    """x_T repeats x_C on the diagonal; along x_C it stays at 0 and no column repeats."""
+    n = 2 * _g17._ROWS_PER_BLOCK + extra
     rng = np.random.default_rng(n)
     x = np.linspace(-2e-4, 2e-4, n)
     values = rng.choice(SHORT_CELLS, n) * rng.choice([1.0, 3.0000000000000004], n)
-    table = np.column_stack([x, x, values])
-    path = tmp_path / "table.csv"
-    cli._write_csv(path, ["x_C,x_T,value"], table)
-    assert path.read_text() == per_cell_csv(["x_C,x_T,value"], table.tolist())
+    for x_t in (x, np.zeros(n)):
+        table = np.column_stack([x, x_t, values])
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, ["x_C,x_T,value"], table)
+        assert path.read_text() == per_cell_csv(["x_C,x_T,value"], table.tolist())
 
 
 def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
     """Blocks large enough for the kernel, with every kind of cell it hands back to `%`."""
     config = parse_config(write_config(tmp_path, BASIC_SETUP))
-    n = 2 * cli._ROWS_PER_BLOCK + 5
+    n = 2 * _g17._ROWS_PER_BLOCK + 5
     rng = np.random.default_rng(5)
     special = [math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1e308, 1e-6,
                9.999999999999999e-7, 1e17, 99999999999999984.0, 0.0, -0.0]
@@ -617,7 +620,7 @@ def test_write_csv_memory_stays_flat_in_rows(tmp_path):
         finally:
             tracemalloc.stop()
 
-    short, long = 2 * cli._ROWS_PER_BLOCK, 16 * cli._ROWS_PER_BLOCK
+    short, long = 2 * _g17._ROWS_PER_BLOCK, 16 * _g17._ROWS_PER_BLOCK
     peak(short)
     assert peak(long) <= 1.25 * peak(short)
 
