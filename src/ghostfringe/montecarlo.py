@@ -19,11 +19,10 @@ of the remainder (_unit_phase), within 2e-15 of numpy's complex exp. An
 intensity is a sum over pairs of path amplitudes, |a . k|^2 = sum_ij
 conj(a_i) a_j conj(k_i) k_j, so a basis of width w <= MAX_PAIR_WIDTH, as on
 every mask, reduces the ensemble on those w * w pair features instead of
-forming a field per column. The ensemble is walked once in chunks that never
-cross a batch edge (_chunk_walk): as many whole batches as fit in a chunk, or
-slices of one larger batch. A pair chunk holds PAIR_CHUNK_AMPLITUDES // w
-rows whatever the number of columns, a field chunk CHUNK_VALUES // (w +
-columns) rows (_ensemble_moments).
+forming a field per column. The ensemble is walked once in chunks that hold
+whole batches or a slice of one (_ensemble_moments). A pair chunk holds
+PAIR_CHUNK_AMPLITUDES // w rows whatever the number of columns, a field chunk
+CHUNK_VALUES // (w + columns) rows.
 
 Constant prefactors common to all paths of an arm are dropped; they cancel in
 the normalized correlations this module reports.
@@ -322,26 +321,6 @@ def _pair_coefficients(kernel, pairs):
     return np.vstack([squares, cross.real, -cross.imag])
 
 
-def _chunk_walk(edges, rows):
-    """The chunks of an ensemble cut into batches at edges, as lists of (batch, start, stop).
-
-    A chunk holds as many whole batches as fit in rows realizations, each a
-    piece of its own, or rows realizations of one batch larger than that, so
-    no piece crosses a batch edge and a batch that fits is one piece.
-    """
-    batch = 0
-    while batch < len(edges) - 1:
-        last = batch + 1
-        while last < len(edges) - 1 and edges[last + 1] - edges[batch] <= rows:
-            last += 1
-        if edges[last] - edges[batch] <= rows:
-            yield [(b, edges[b], edges[b + 1]) for b in range(batch, last)]
-        else:
-            for start in range(edges[batch], edges[last], rows):
-                yield [(batch, start, min(start + rows, edges[last]))]
-        batch = last
-
-
 def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     """One pass over the ensemble, shared by every estimator.
 
@@ -350,16 +329,17 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     of the m-th detector pair or angle setting, and a realization draws one
     amplitude per row, once whatever M is. The realizations are walked from 0
     in chunks drawn in order from one keyed stream, so memory does not grow
-    with n_realizations and one Philox generator serves the pass. No chunk
-    crosses an edge of the N_BATCHES batches (_chunk_walk): it holds whole
-    batches or a slice of one, and each of its pieces adds to its batch's
-    sums of I_C, I_T and I_C * I_T.
+    with n_realizations and one Philox generator serves the pass. A chunk
+    holds as many whole batches of the N_BATCHES as fit in its rows at the
+    largest batch's size, ceil(n_realizations / N_BATCHES), and at least one;
+    a batch longer than the rows is cut into slices from its own start. Each
+    batch's overlap with a chunk adds to its sums of I_C, I_T and I_C * I_T.
 
     Every intensity is a sum over pairs of path amplitudes,
     |a . k|^2 = sum_ij conj(a_i) a_j conj(k_i) k_j, so when the basis width w
     is at most MAX_PAIR_WIDTH, as on every mask, no arm field is formed
-    whatever M is: chunks of PAIR_CHUNK_AMPLITUDES // w rows, and each piece
-    adds P^T P to its batch, where P holds the w * w pair features V
+    whatever M is: chunks of PAIR_CHUNK_AMPLITUDES // w rows, and each
+    overlap adds P^T P to its batch, where P holds the w * w pair features V
     (_pair_features) and a last column of ones, so one product gives the Gram
     matrix V^T V and, in its last row, the feature sums s. The batch sums are
     then s @ W_C, s @ W_T and the column sums of W_C * (V^T V @ W_T) with the
@@ -383,24 +363,27 @@ def _ensemble_moments(source, seed, n_realizations, kernel_c, kernel_t):
     else:
         rows = max(1, CHUNK_VALUES // (width + columns))
         sums = np.zeros((N_BATCHES, 3, half))
+    group = max(1, rows // math.ceil(n_realizations / N_BATCHES))
     stream = _philox_stream(seed, width)
-    for pieces in _chunk_walk(edges, rows):
-        first, count = pieces[0][1], pieces[-1][2] - pieces[0][1]
-        amplitudes = _draw_amplitudes(stream, count, width)
-        if pairs is not None:
-            values = _pair_features(amplitudes, pairs, features[:count])
-        else:
-            values = np.abs(amplitudes @ kernel)
-            values *= values
-        for batch, start, stop in pieces:
-            part = values[start - first:stop - first]
+    for low in range(0, N_BATCHES, group):
+        high = min(low + group, N_BATCHES)
+        for first in range(edges[low], edges[high], rows):
+            count = min(rows, edges[high] - first)
+            amplitudes = _draw_amplitudes(stream, count, width)
             if pairs is not None:
-                grams[batch] += part.T @ part
+                values = _pair_features(amplitudes, pairs, features[:count])
             else:
-                i_c, i_t = part[:, :half], part[:, half:]
-                sums[batch, 0] += i_c.sum(axis=0)
-                sums[batch, 1] += i_t.sum(axis=0)
-                sums[batch, 2] += np.einsum("ij,ij->j", i_c, i_t)
+                values = np.abs(amplitudes @ kernel)
+                values *= values
+            for batch in range(low, high):
+                part = values[max(edges[batch] - first, 0):edges[batch + 1] - first]
+                if pairs is not None:
+                    grams[batch] += part.T @ part
+                else:
+                    i_c, i_t = part[:, :half], part[:, half:]
+                    sums[batch, 0] += i_c.sum(axis=0)
+                    sums[batch, 1] += i_t.sum(axis=0)
+                    sums[batch, 2] += np.einsum("ij,ij->j", i_c, i_t)
     if pairs is not None:
         coefficients = _pair_coefficients(kernel, pairs)
         w_c, w_t = coefficients[:, :half], coefficients[:, half:]

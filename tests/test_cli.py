@@ -376,6 +376,18 @@ def per_cell_csv(head, rows):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_lines(actual, expected):
+    """Texts equal line by line; a failure names the first differing line or the line counts.
+
+    pytest's diff of two long unequal texts under `==` takes minutes, so a
+    broken kernel would stall the suite instead of failing it.
+    """
+    got, want = actual.split("\n"), expected.split("\n")
+    first = next((i for i, (line, oracle) in enumerate(zip(got, want)) if line != oracle), None)
+    assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
+    assert len(got) == len(want), f"{len(got)} lines != {len(want)} lines"
+
+
 def preamble_lines(config):
     return [
         f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}"
@@ -469,7 +481,7 @@ def test_emit_repeated_columns_match_per_cell_formatting(tmp_path, case):
     ):
         expected = per_cell_csv(head + [f"# pattern_mode={patterns[mode].mode}", header],
                                 table.tolist())
-        assert (out / f"scan_{mode}.csv").read_bytes() == expected.encode()
+        assert_same_lines((out / f"scan_{mode}.csv").read_bytes().decode(), expected)
 
 
 def kernel_text(values, columns=1):
@@ -504,14 +516,14 @@ DOUBLE_BITS = st.one_of(
 @example(SHORT_BITS, 4)
 def test_kernel_matches_format_on_any_double(bits, columns):
     values = np.array(bits + [0] * (-len(bits) % columns), dtype=np.uint64).view(float)
-    assert kernel_text(values, columns) == per_cell_text(values, columns)
+    assert_same_lines(kernel_text(values, columns), per_cell_text(values, columns))
 
 
 def test_kernel_matches_format_at_decade_boundaries():
     powers = [float(f"1e{k}") for k in range(-7, 18)]
     values = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
     values += [-v for v in values]
-    assert kernel_text(values) == per_cell_text(values)
+    assert_same_lines(kernel_text(values), per_cell_text(values))
 
 
 def test_kernel_rounds_halfway_ties_to_even():
@@ -525,7 +537,7 @@ def test_kernel_rounds_halfway_ties_to_even():
             value = m * scale
             assert 10.0**e <= value < 10.0 ** (e + 1)
             values += [value, -value]
-    assert kernel_text(values) == per_cell_text(values)
+    assert_same_lines(kernel_text(values), per_cell_text(values))
     assert kernel_text([1000000000000000.25, 1000000000000000.75, -1000000000000000.25]) == \
         "1000000000000000.2\n1000000000000000.8\n-1000000000000000.2\n"
 
@@ -542,7 +554,7 @@ def test_kernel_writes_exponents_points_and_stripped_zeros():
 @pytest.mark.parametrize("value", [4.0, 1.0, -0.5, 0.0, 1e-5, 12345678901234568.0])
 def test_kernel_matches_format_on_a_constant_column(value):
     table = np.column_stack([np.linspace(-2e-4, 2e-4, 999), np.full(999, value)])
-    assert kernel_text(table, columns=2) == per_cell_text(table, columns=2)
+    assert_same_lines(kernel_text(table, columns=2), per_cell_text(table, columns=2))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -556,7 +568,7 @@ def test_write_csv_matches_format_one_row_either_side_of_a_block_edge(tmp_path, 
         table = np.column_stack([x, x_t, values])
         path = tmp_path / "table.csv"
         cli._write_csv(path, ["x_C,x_T,value"], table)
-        assert path.read_text() == per_cell_csv(["x_C,x_T,value"], table.tolist())
+        assert_same_lines(path.read_text(), per_cell_csv(["x_C,x_T,value"], table.tolist()))
 
 
 def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
@@ -590,7 +602,7 @@ def test_emit_long_mixed_columns_match_per_cell_formatting(tmp_path):
     ):
         expected = per_cell_csv(head + [f"# pattern_mode={patterns[mode].mode}", header],
                                 table.tolist())
-        assert (out / f"scan_{mode}.csv").read_bytes() == expected.encode()
+        assert_same_lines((out / f"scan_{mode}.csv").read_bytes().decode(), expected)
 
 
 @pytest.mark.parametrize("cells", [cli._KERNEL_MIN_CELLS - 1, cli._KERNEL_MIN_CELLS + 1])
@@ -605,7 +617,7 @@ def test_write_csv_paths_agree_at_the_kernel_threshold(tmp_path, monkeypatch, ce
     values[::11] = 0.0
     path = tmp_path / "table.csv"
     cli._write_csv(path, ["value"], values[:, None])
-    assert path.read_text() == per_cell_csv(["value"], values[:, None].tolist())
+    assert_same_lines(path.read_text(), per_cell_csv(["value"], values[:, None].tolist()))
     assert len(calls) == (cells >= cli._KERNEL_MIN_CELLS)
 
 

@@ -1014,19 +1014,43 @@ def test_ensemble_memory_does_not_grow_with_realizations():
 
 
 @given(st.integers(min_value=100, max_value=5000), st.integers(min_value=1, max_value=1200))
+@settings(deadline=None)
 def test_chunk_walk_cuts_at_batch_edges(n_realizations, rows):
-    """Chunks of at most rows tile the ensemble in order, whole batches or slices of one."""
+    """The pass draws chunks of at most rows that tile the ensemble, whole batches or slices of one."""
+    source = SourceModel(a=offset_mask().a, n_emitters=64)
+    _, kernels = montecarlo._path_basis(
+        source, path_table(offset_mask()), [("C", [0.0]), ("T", [0.0])]
+    )
+    draws = []
+    original = montecarlo._draw_amplitudes
+
+    def recording(generator, count, width):
+        draws.append(count)
+        return original(generator, count, width)
+
+    width = kernels[0].shape[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "PAIR_CHUNK_AMPLITUDES", rows * width)
+        patch.setattr(montecarlo, "_draw_amplitudes", recording)
+        moments = montecarlo._ensemble_moments(source, 3, n_realizations, *kernels)
+    assert sum(draws) == n_realizations and max(draws) <= rows
     edges = [n_realizations * b // montecarlo.N_BATCHES for b in range(montecarlo.N_BATCHES + 1)]
-    chunks = list(montecarlo._chunk_walk(edges, rows))
-    pieces = [piece for chunk in chunks for piece in chunk]
-    assert [start for _, start, _ in pieces[1:]] == [stop for _, _, stop in pieces[:-1]]
-    assert pieces[0][1] == 0 and pieces[-1][2] == n_realizations
-    for chunk in chunks:
-        assert chunk[-1][2] - chunk[0][1] <= rows
-        for batch, start, stop in chunk:
-            assert edges[batch] <= start < stop <= edges[batch + 1]
-            if len(chunk) > 1 or edges[batch + 1] - edges[batch] <= rows:
-                assert (start, stop) == (edges[batch], edges[batch + 1])
+    boundaries = {0, *np.cumsum(draws).tolist()}
+    if math.ceil(n_realizations / montecarlo.N_BATCHES) > rows:
+        assert set(edges) <= boundaries
+    else:
+        assert boundaries <= set(edges)
+    # Oracle: every realization drawn at once, its intensities split at the batch edges.
+    amplitudes = original(montecarlo._philox_stream(3, width), n_realizations, width)
+    i_c, i_t = (np.abs(amplitudes @ kernel) ** 2 for kernel in kernels)
+    covs = [(c * t).mean(axis=0) - c.mean(axis=0) * t.mean(axis=0)
+            for c, t in zip(np.split(i_c, edges[1:-1]), np.split(i_t, edges[1:-1]))]
+    stderr = np.std(covs, axis=0, ddof=1) / math.sqrt(montecarlo.N_BATCHES)
+    mean_c, mean_t = i_c.mean(axis=0), i_t.mean(axis=0)
+    cov = (i_c * i_t).mean(axis=0) - mean_c * mean_t
+    peak = max(i_c.max(), i_t.max())
+    for got, expected, scale in zip(moments, (mean_c, cov, stderr), (peak, peak**2, peak**2)):
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_long_mask_scan_draws_as_many_chunks_as_a_short_one():
